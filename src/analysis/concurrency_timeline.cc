@@ -10,41 +10,54 @@ namespace deskpar::analysis::detail {
 using sim::SimDuration;
 using sim::SimTime;
 
-void
-buildConcurrencyTimeline(const trace::TraceBundle &bundle,
-                         const TimelineSpec &spec,
-                         ConcurrencyTimeline &tl,
-                         std::vector<SimTime> *dispatches,
-                         BurstColumns *bursts, WaitColumns *waits)
-{
-    tl.cutoff = bundle.numLogicalCpus;
-    const unsigned cutoff = tl.cutoff;
+namespace {
 
-    // Emit (timestamp, +1/-1) occupancy deltas in stream order — the
-    // per-CPU busy flags are a state machine over the stream, exactly
-    // as in the reference sweep — and collect the dispatch and burst
-    // columns from the same transitions.
-    std::vector<std::pair<SimTime, int>> deltas;
-    deltas.reserve(bundle.cswitches.size());
-    std::vector<std::uint8_t> cpuBusy(cutoff, 0);
+constexpr std::uint32_t kNoGroup = ~static_cast<std::uint32_t>(0);
+
+/**
+ * The cswitch state machine behind every column pass. @p groupOf maps
+ * a switch-in's (pid, tid) to the index of the group it targets, or
+ * kNoGroup. Per CPU the sweep tracks which group currently occupies
+ * it; each change of that group at a timestamp emits -1 to the old
+ * group and +1 to the new one, and the same transition closes the old
+ * group's burst and opens the new one's. With a single group this is
+ * exactly the per-filter busy-flag sweep. Returns one PendingColumns
+ * per group, each delta list in stream order.
+ */
+template <typename GroupOf>
+std::vector<PendingColumns>
+sweepGroups(const trace::TraceBundle &bundle, CpuMask mask,
+            const ColumnNeeds &needs, GroupOf groupOf,
+            std::size_t groupCount)
+{
+    std::vector<PendingColumns> groups(groupCount);
+    // A lone group gets at most one delta per switch.
+    if (groupCount == 1)
+        groups[0].deltas.reserve(bundle.cswitches.size());
+    const unsigned cutoff = bundle.numLogicalCpus;
+    std::vector<std::uint32_t> current(cutoff, kNoGroup);
     std::vector<SimTime> burstStart;
-    if (bursts)
+    if (needs.bursts)
         burstStart.assign(cutoff, 0);
     bool sorted = true;
     SimTime prev_ts = 0;
+    std::uint64_t outOfRange = 0;
 
     for (const auto &e : bundle.cswitches) {
-        if (!cpuInMask(spec.cpuMask, e.cpu))
+        if (!cpuInMask(mask, e.cpu))
             continue;
-        bool target = isTargetSwitch(spec, e.newPid, e.newTid);
-        if (dispatches && target)
-            dispatches->push_back(e.timestamp);
-        if (waits && target) {
-            // Readers clamp inverted ready times; clamp again so a
-            // hand-built bundle cannot wrap the wait.
-            waits->begin.push_back(
-                std::min(e.readyTime, e.timestamp));
-            waits->end.push_back(e.timestamp);
+        std::uint32_t group = groupOf(e.newPid, e.newTid);
+        if (group != kNoGroup) {
+            FilterColumns &cols = groups[group].columns;
+            if (needs.dispatches)
+                cols.dispatches.push_back(e.timestamp);
+            if (needs.waits) {
+                // Readers clamp inverted ready times; clamp again so
+                // a hand-built bundle cannot wrap the wait.
+                cols.waits.begin.push_back(
+                    std::min(e.readyTime, e.timestamp));
+                cols.waits.end.push_back(e.timestamp);
+            }
         }
         if (e.timestamp < prev_ts)
             sorted = false;
@@ -52,77 +65,164 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
         if (cutoff == 0)
             continue;
         if (e.cpu >= cutoff) {
-            ++tl.outOfRangeCpuEvents;
+            ++outOfRange;
             continue;
         }
-        std::uint8_t now_busy = target ? 1 : 0;
-        if (cpuBusy[e.cpu] == now_busy)
+        std::uint32_t &occupant = current[e.cpu];
+        if (occupant == group)
             continue;
-        deltas.emplace_back(e.timestamp, now_busy ? 1 : -1);
-        if (bursts) {
-            if (now_busy)
-                burstStart[e.cpu] = e.timestamp;
-            else if (e.timestamp > burstStart[e.cpu])
-                bursts->bursts.push_back(
+        if (occupant != kNoGroup) {
+            PendingColumns &old = groups[occupant];
+            old.deltas.emplace_back(e.timestamp, -1);
+            // Disordered streams can produce inverted bursts; those
+            // are dropped on emission.
+            if (needs.bursts && e.timestamp > burstStart[e.cpu])
+                old.columns.bursts.bursts.push_back(
                     Interval{burstStart[e.cpu], e.timestamp});
         }
-        cpuBusy[e.cpu] = now_busy;
+        if (group != kNoGroup) {
+            groups[group].deltas.emplace_back(e.timestamp, 1);
+            if (needs.bursts)
+                burstStart[e.cpu] = e.timestamp;
+        }
+        occupant = group;
     }
-    if (dispatches)
-        std::sort(dispatches->begin(), dispatches->end());
-    if (waits) {
+
+    for (PendingColumns &pending : groups) {
+        pending.sorted = sorted;
+        pending.columns.timeline.cutoff = cutoff;
+        pending.columns.timeline.outOfRangeCpuEvents = outOfRange;
+    }
+    if (needs.bursts) {
+        // CPUs still busy at the end of the stream: close the burst
+        // at the observation-window end.
+        for (unsigned cpu = 0; cpu < cutoff; ++cpu) {
+            if (current[cpu] != kNoGroup &&
+                bundle.stopTime > burstStart[cpu])
+                groups[current[cpu]].columns.bursts.bursts.push_back(
+                    Interval{burstStart[cpu], bundle.stopTime});
+        }
+    }
+    return groups;
+}
+
+template <typename T>
+std::uint64_t
+vectorBytes(const std::vector<T> &v)
+{
+    return v.capacity() * sizeof(T);
+}
+
+} // namespace
+
+std::uint64_t
+FilterColumns::bytes() const
+{
+    return vectorBytes(timeline.times) + vectorBytes(timeline.levels) +
+           vectorBytes(timeline.cum) + vectorBytes(dispatches) +
+           vectorBytes(bursts.bursts) + vectorBytes(bursts.maxEnd) +
+           vectorBytes(waits.begin) + vectorBytes(waits.end) +
+           vectorBytes(waits.minBegin);
+}
+
+FilterColumns
+buildFilterColumns(const trace::TraceBundle &bundle,
+                   const TimelineSpec &spec, const ColumnNeeds &needs)
+{
+    std::vector<PendingColumns> one = sweepGroups(
+        bundle, spec.cpuMask, needs,
+        [&spec](trace::Pid pid, trace::Tid tid) {
+            return isTargetSwitch(spec, pid, tid) ? 0u : kNoGroup;
+        },
+        1);
+    finishColumns(needs, one[0]);
+    return std::move(one[0].columns);
+}
+
+std::vector<PendingColumns>
+sweepPartition(const trace::TraceBundle &bundle, PartitionBy by,
+               const std::vector<std::pair<trace::Pid, trace::Tid>> &keys,
+               CpuMask mask, const ColumnNeeds &needs)
+{
+    // Group lookup: a binary search over the sorted keys, memoized.
+    TargetMemo memo;
+    const bool byThread = by == PartitionBy::Thread;
+    auto groupOf = [&](trace::Pid pid, trace::Tid tid) {
+        if (pid == 0)
+            return kNoGroup;
+        if (!byThread)
+            tid = 0;
+        return memo.get(pid, tid, [&] {
+            auto it = std::lower_bound(
+                keys.begin(), keys.end(), std::make_pair(pid, tid),
+                [byThread](const auto &a, const auto &b) {
+                    return byThread ? a < b : a.first < b.first;
+                });
+            bool found = it != keys.end() && it->first == pid &&
+                         (!byThread || it->second == tid);
+            return found ? static_cast<std::uint32_t>(it - keys.begin())
+                         : kNoGroup;
+        });
+    };
+    return sweepGroups(bundle, mask, needs, groupOf, keys.size());
+}
+
+void
+finishColumns(const ColumnNeeds &needs, PendingColumns &pending)
+{
+    FilterColumns &cols = pending.columns;
+    if (needs.dispatches)
+        std::sort(cols.dispatches.begin(), cols.dispatches.end());
+    if (needs.waits) {
         // Sort by end (already the stream order for a sorted bundle;
         // a stable sort keeps equal-end rows paired) and compute the
         // suffix-minimum begin column.
-        const std::size_t n = waits->end.size();
+        WaitColumns &waits = cols.waits;
+        const std::size_t n = waits.end.size();
         std::vector<std::pair<SimTime, SimTime>> rows;
         rows.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
-            rows.emplace_back(waits->end[i], waits->begin[i]);
+            rows.emplace_back(waits.end[i], waits.begin[i]);
         std::stable_sort(rows.begin(), rows.end(),
                          [](const auto &a, const auto &b) {
                              return a.first < b.first;
                          });
-        waits->minBegin.assign(n, 0);
+        waits.minBegin.assign(n, 0);
         SimTime mn = 0;
         for (std::size_t i = n; i-- > 0;) {
-            waits->end[i] = rows[i].first;
-            waits->begin[i] = rows[i].second;
+            waits.end[i] = rows[i].first;
+            waits.begin[i] = rows[i].second;
             mn = i + 1 == n ? rows[i].second
                             : std::min(mn, rows[i].second);
-            waits->minBegin[i] = mn;
+            waits.minBegin[i] = mn;
         }
     }
-    if (bursts) {
-        // CPUs still busy at the end of the stream: close the burst
-        // at the observation-window end. Disordered streams can
-        // produce inverted bursts; those are dropped on emission.
-        for (unsigned cpu = 0; cpu < cutoff; ++cpu) {
-            if (cpuBusy[cpu] && bundle.stopTime > burstStart[cpu])
-                bursts->bursts.push_back(
-                    Interval{burstStart[cpu], bundle.stopTime});
-        }
-        std::sort(bursts->bursts.begin(), bursts->bursts.end(),
+    if (needs.bursts) {
+        BurstColumns &bursts = cols.bursts;
+        std::sort(bursts.bursts.begin(), bursts.bursts.end(),
                   [](const Interval &a, const Interval &b) {
                       return a.begin < b.begin;
                   });
-        bursts->maxEnd.reserve(bursts->bursts.size());
+        bursts.maxEnd.reserve(bursts.bursts.size());
         SimTime mx = 0;
-        for (std::size_t i = 0; i < bursts->bursts.size(); ++i) {
-            mx = i == 0 ? bursts->bursts[i].end
-                        : std::max(mx, bursts->bursts[i].end);
-            bursts->maxEnd.push_back(mx);
+        for (std::size_t i = 0; i < bursts.bursts.size(); ++i) {
+            mx = i == 0 ? bursts.bursts[i].end
+                        : std::max(mx, bursts.bursts[i].end);
+            bursts.maxEnd.push_back(mx);
         }
     }
 
-    if (cutoff == 0)
+    ConcurrencyTimeline &tl = cols.timeline;
+    if (tl.cutoff == 0)
         return; // every query must take the sweep path (it fatals)
 
     // The reference sweep stable-sorts its (clamped) deltas; sorting
     // the unclamped emission stably yields the same per-timestamp
     // group sums for every window, which is all the level function
     // depends on.
-    if (!sorted) {
+    std::vector<std::pair<SimTime, int>> deltas =
+        std::move(pending.deltas);
+    if (!pending.sorted) {
         std::stable_sort(deltas.begin(), deltas.end(),
                          [](const auto &a, const auto &b) {
                              return a.first < b.first;
@@ -149,11 +249,13 @@ buildConcurrencyTimeline(const trace::TraceBundle &bundle,
         tl.times.push_back(ts);
         tl.levels.push_back(static_cast<int>(level));
     }
+    deltas = {};
     tl.usable = true;
 
     // Checkpoint rows: running per-level time at every kStride-th
     // breakpoint. Integer sums, so checkpoint differences decompose
     // a window exactly.
+    const unsigned cutoff = tl.cutoff;
     const std::size_t L = cutoff + 1;
     const std::size_t n = tl.times.size();
     if (n == 0)

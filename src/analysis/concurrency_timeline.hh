@@ -18,12 +18,18 @@
  *    on one CPU), used by the duration-histogram metric, and
  *  - per-dispatch ready-wait intervals ([readyTime, timestamp)),
  *    used by the ready-wait metrics (waitfrac/readylat/topblocked).
+ *
+ * A partitioned pass (sweepPartition) builds the same columns for
+ * every process or thread of a group-by at once: one sweep routes
+ * each switch to its group, instead of one sweep per group.
  */
 
 #ifndef DESKPAR_ANALYSIS_CONCURRENCY_TIMELINE_HH
 #define DESKPAR_ANALYSIS_CONCURRENCY_TIMELINE_HH
 
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "analysis/intervals.hh"
@@ -139,19 +145,111 @@ struct WaitColumns
     std::vector<sim::SimTime> minBegin;
 };
 
+/** The optional column families a pass collects besides the timeline. */
+struct ColumnNeeds
+{
+    bool dispatches = false;
+    bool bursts = false;
+    bool waits = false;
+};
+
+/** Every cswitch-derived column family of one filter. */
+struct FilterColumns
+{
+    ConcurrencyTimeline timeline;
+    /** Sorted switch-in (dispatch) times of target threads. */
+    std::vector<sim::SimTime> dispatches;
+    BurstColumns bursts;
+    WaitColumns waits;
+
+    /** Heap bytes the columns hold (capacity, not size). */
+    std::uint64_t bytes() const;
+};
+
 /**
  * One fused pass over the cswitch stream: build the compressed
- * timeline for @p spec and optionally collect the sorted dispatch
- * column, the busy-burst columns, and the ready-wait columns. With a
+ * timeline for @p spec plus the families @p needs asks for. With a
  * default-constructed filter (beyond the pid set) this is the
  * original TraceIndex sweep, preserved operation for operation.
  */
-void buildConcurrencyTimeline(const trace::TraceBundle &bundle,
-                              const TimelineSpec &spec,
-                              ConcurrencyTimeline &timeline,
-                              std::vector<sim::SimTime> *dispatches,
-                              BurstColumns *bursts,
-                              WaitColumns *waits = nullptr);
+FilterColumns buildFilterColumns(const trace::TraceBundle &bundle,
+                                 const TimelineSpec &spec,
+                                 const ColumnNeeds &needs);
+
+/**
+ * One group's output of a cswitch sweep before finishColumns: the
+ * dispatch/wait/burst columns and the raw (timestamp, +1/-1)
+ * occupancy deltas, all in stream order.
+ */
+struct PendingColumns
+{
+    FilterColumns columns;
+    std::vector<std::pair<sim::SimTime, int>> deltas;
+    /** False when the swept stream was out of timestamp order. */
+    bool sorted = true;
+};
+
+/**
+ * A direct-mapped memo in front of a per-switch-target lookup: a trace
+ * switches among few threads many times, so nearly every get() is a
+ * table hit and only a miss runs @p lookup. @p pid must not be 0 (a
+ * zero key marks a free slot).
+ */
+class TargetMemo
+{
+  public:
+    template <typename Lookup>
+    std::uint32_t
+    get(trace::Pid pid, trace::Tid tid, Lookup lookup)
+    {
+        std::uint64_t key =
+            (static_cast<std::uint64_t>(pid) << 32) | tid;
+        Slot &slot = slots_[(key * 0x9E3779B97F4A7C15ull) >> 56];
+        if (slot.key != key) {
+            slot.key = key;
+            slot.value = lookup();
+        }
+        return slot.value;
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        std::uint32_t value = 0;
+    };
+    std::array<Slot, 256> slots_{};
+};
+
+/** How a partitioned pass assigns a switch-in to a group. */
+enum class PartitionBy : std::uint8_t { Process, Thread };
+
+/**
+ * One cswitch sweep for a set of disjoint groups — one group per
+ * process (@p keys hold pids, tids ignored) or per thread (@p keys
+ * hold (pid, tid)) — under cpu mask @p mask. @p keys must be sorted
+ * and unique. A per-CPU "current group" replaces the per-filter busy
+ * flags: when a CPU switches from group a to group b, a receives -1
+ * and b +1 at that timestamp, and the same transition closes a's
+ * burst and opens b's. Each group's lists therefore hold exactly the
+ * stream-order emission of a separate buildFilterColumns pass over
+ * the group's spec ({pid}, optional tid, @p mask), so after
+ * finishColumns every group's columns are bit-identical to it.
+ * Returns one PendingColumns per key, in key order.
+ */
+std::vector<PendingColumns> sweepPartition(
+    const trace::TraceBundle &bundle, PartitionBy by,
+    const std::vector<std::pair<trace::Pid, trace::Tid>> &keys,
+    CpuMask mask, const ColumnNeeds &needs);
+
+/**
+ * Sort the dispatch, wait and burst columns of @p pending, compress
+ * its deltas into the timeline (stable-sorting them first when the
+ * stream was out of order) and add the checkpoint rows. Independent
+ * per group, so the groups of one partitioned sweep can finish on
+ * different threads.
+ */
+void finishColumns(const ColumnNeeds &needs, PendingColumns &pending);
 
 /**
  * Windowed histogram from a usable timeline. Bit-identical to the

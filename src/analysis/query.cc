@@ -504,20 +504,26 @@ expandQueryRows(const trace::TraceBundle &bundle, const Query &query)
       }
       case QueryGroupBy::Thread: {
         // Distinct switch-in targets, discovery narrowed by the same
-        // mask the evaluation will use.
+        // mask the evaluation will use. Kept sorted and unique as it
+        // grows; the memo lets each target pay the binary search once
+        // instead of sorting one pair per switch.
         std::vector<std::pair<Pid, Tid>> threads;
+        TargetMemo seen;
         for (const auto &e : bundle.cswitches) {
             if (!cpuInMask(f.cpuMask, e.cpu))
                 continue;
             if (e.newPid == 0 || e.newTid == 0)
                 continue;
-            if (!f.pids.empty() && f.pids.count(e.newPid) == 0)
-                continue;
-            threads.emplace_back(e.newPid, e.newTid);
+            seen.get(e.newPid, e.newTid, [&] {
+                std::pair<Pid, Tid> key{e.newPid, e.newTid};
+                auto it = std::lower_bound(threads.begin(),
+                                           threads.end(), key);
+                if ((it == threads.end() || *it != key) &&
+                    (f.pids.empty() || f.pids.count(e.newPid) != 0))
+                    threads.insert(it, key);
+                return 0u;
+            });
         }
-        std::sort(threads.begin(), threads.end());
-        threads.erase(std::unique(threads.begin(), threads.end()),
-                      threads.end());
         for (const auto &[pid, tid] : threads) {
             QueryRowSpec row = baseRow();
             row.key =

@@ -17,7 +17,8 @@
  *
  * Queries are data, not code: they can be parsed from the CLI's
  * compact text syntax (parseQuerySpec), batched, and compiled by the
- * fusing planner (query_plan.hh) into one pass per distinct filter.
+ * fusing planner (query_plan.hh), which reads each distinct filter's
+ * columns once and answers a group-by from one partitioned pass.
  * analysis::legacy::runQuery is the straight-line reference the
  * planner is proven bit-identical against — each row evaluated with
  * an independent full sweep, exactly what a caller would have

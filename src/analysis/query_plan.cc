@@ -92,7 +92,10 @@ QueryPlanExplain::str() const
                       "waits";
         if (builds.empty())
             builds = "none (shared gpu columns)";
-        out += builds + "\n";
+        out += builds;
+        if (!pass.source.empty())
+            out += "  source=" + pass.source;
+        out += "\n";
     }
     return out;
 }
@@ -127,10 +130,9 @@ QueryPlan::compile(const TraceIndex &index,
             filter.spec.tid = tid;
             filter.spec.cpuMask = mask;
             plan.filters_.push_back(std::move(filter));
-            plan.explain_.passes.push_back(
-                QueryPlanPass{describeFilter(
-                                  plan.filters_.back().spec),
-                              {}, 0, false, false, false});
+            QueryPlanPass pass;
+            pass.filter = describeFilter(plan.filters_.back().spec);
+            plan.explain_.passes.push_back(std::move(pass));
         }
         return it->second;
     };
@@ -181,19 +183,23 @@ QueryPlan::compile(const TraceIndex &index,
                 filter.needTimeline = true;
                 break;
               case QueryMetric::ContextSwitchRate:
-                filter.needDispatches = true;
+                filter.needs.dispatches = true;
                 break;
               case QueryMetric::DurationHistogram:
-                filter.needBursts = true;
+                filter.needs.bursts = true;
                 break;
               case QueryMetric::WaitFraction:
               case QueryMetric::ReadyLatency:
               case QueryMetric::TopBlocked:
-                filter.needWaits = true;
+                filter.needs.waits = true;
                 break;
               case QueryMetric::GpuOccupancy:
                 break;
             }
+            if (!gpu && query.groupBy == QueryGroupBy::Process)
+                filter.groupBy = detail::PartitionBy::Process;
+            if (!gpu && query.groupBy == QueryGroupBy::Thread)
+                filter.groupBy = detail::PartitionBy::Thread;
             const char *metricName = queryMetricName(query.metric);
             if (std::find(pass.metrics.begin(), pass.metrics.end(),
                           metricName) == pass.metrics.end())
@@ -217,16 +223,90 @@ QueryPlan::compile(const TraceIndex &index,
 
     plan.explain_.queries = queries.size();
     plan.explain_.distinctFilters = plan.filters_.size();
+
+    // Pick each filter's column source. Group rows share their
+    // group-by's partitioned sweep, one per (kind, cpu mask); the
+    // shared store holds the default filter shape (no tid, no mask)
+    // without bursts; everything else is plan-local.
+    std::map<std::pair<detail::PartitionBy, detail::CpuMask>,
+             std::size_t>
+        partitionIds;
+    for (std::size_t fi = 0; fi < plan.filters_.size(); ++fi) {
+        Filter &filter = plan.filters_[fi];
+        if (!filter.needTimeline && !filter.needs.dispatches &&
+            !filter.needs.bursts && !filter.needs.waits)
+            continue;
+        if (filter.groupBy) {
+            auto [it, inserted] = partitionIds.emplace(
+                std::make_pair(*filter.groupBy, filter.spec.cpuMask),
+                plan.partitions_.size());
+            if (inserted) {
+                Partition partition;
+                partition.by = *filter.groupBy;
+                partition.mask = filter.spec.cpuMask;
+                plan.partitions_.push_back(std::move(partition));
+                plan.sourceJobs_.push_back(
+                    SourceJob{Source::Partition, it->second});
+            }
+            Partition &partition = plan.partitions_[it->second];
+            // A group row's filter is exactly one pid (plus the tid
+            // for threads).
+            partition.keys.emplace_back(*filter.spec.pids.begin(),
+                                        filter.spec.tid);
+            partition.needs.dispatches |= filter.needs.dispatches;
+            partition.needs.bursts |= filter.needs.bursts;
+            partition.needs.waits |= filter.needs.waits;
+            filter.source = Source::Partition;
+            filter.partition = it->second;
+        } else if (!filter.spec.hasTid &&
+                   filter.spec.cpuMask == detail::kAllCpus &&
+                   !filter.needs.bursts) {
+            filter.source = Source::Store;
+            plan.sourceJobs_.push_back(SourceJob{Source::Store, fi});
+        } else {
+            filter.source = Source::PlanLocal;
+            plan.sourceJobs_.push_back(
+                SourceJob{Source::PlanLocal, fi});
+        }
+    }
+    for (Partition &partition : plan.partitions_)
+        std::sort(partition.keys.begin(), partition.keys.end());
+    for (Filter &filter : plan.filters_) {
+        if (filter.source != Source::Partition)
+            continue;
+        const auto &keys = plan.partitions_[filter.partition].keys;
+        filter.group = static_cast<std::size_t>(
+            std::lower_bound(keys.begin(), keys.end(),
+                             std::make_pair(*filter.spec.pids.begin(),
+                                            filter.spec.tid)) -
+            keys.begin());
+    }
+    plan.explain_.columnPasses = plan.sourceJobs_.size();
+
     for (std::size_t fi = 0; fi < plan.filters_.size(); ++fi) {
         const Filter &filter = plan.filters_[fi];
         QueryPlanPass &pass = plan.explain_.passes[fi];
         pass.buildsTimeline = filter.needTimeline;
-        pass.buildsDispatches = filter.needDispatches;
-        pass.buildsBursts = filter.needBursts;
-        pass.buildsWaits = filter.needWaits;
-        if (filter.needTimeline || filter.needDispatches ||
-            filter.needBursts || filter.needWaits)
-            ++plan.explain_.columnPasses;
+        pass.buildsDispatches = filter.needs.dispatches;
+        pass.buildsBursts = filter.needs.bursts;
+        pass.buildsWaits = filter.needs.waits;
+        switch (filter.source) {
+          case Source::None:
+            break;
+          case Source::Store:
+            pass.source = "shared-store";
+            break;
+          case Source::PlanLocal:
+            pass.source = "plan-local";
+            break;
+          case Source::Partition:
+            pass.source =
+                plan.partitions_[filter.partition].by ==
+                        detail::PartitionBy::Thread
+                    ? "partitioned:thread"
+                    : "partitioned:process";
+            break;
+        }
     }
     return plan;
 }
@@ -239,38 +319,75 @@ QueryPlan::run(unsigned threads) const
     const trace::TraceBundle &bundle = index_->bundle();
     unsigned jobs = sim::resolveJobs(threads);
 
-    // Phase A: one fused cswitch pass per distinct filter that needs
-    // columns. The columns are plan-local (not interned in the index)
-    // so concurrent builds never contend on the index mutex.
-    struct FilterColumns
-    {
-        detail::ConcurrencyTimeline timeline;
-        std::vector<SimTime> dispatches;
-        detail::BurstColumns bursts;
-        detail::WaitColumns waits;
-    };
-    std::vector<FilterColumns> columns(filters_.size());
-    sim::parallelFor(jobs, filters_.size(), [&](std::size_t fi) {
-        const Filter &filter = filters_[fi];
-        if (!filter.needTimeline && !filter.needDispatches &&
-            !filter.needBursts && !filter.needWaits)
-            return;
-        obs::Span buildSpan("query.build.columns",
-                            obs::SpanKind::Index,
-                            bundle.cswitches.size());
-        detail::buildConcurrencyTimeline(
-            bundle, filter.spec, columns[fi].timeline,
-            filter.needDispatches ? &columns[fi].dispatches : nullptr,
-            filter.needBursts ? &columns[fi].bursts : nullptr,
-            filter.needWaits ? &columns[fi].waits : nullptr);
+    // Phase A: collect every filter's columns from its source — the
+    // index's shared store, one partitioned sweep per group-by, or a
+    // plan-local pass — fanned out over the sources, then finish the
+    // partitions' groups in parallel.
+    std::vector<const detail::FilterColumns *> columns(filters_.size(),
+                                                       nullptr);
+    std::vector<detail::FilterColumns> local(filters_.size());
+    std::vector<std::vector<detail::PendingColumns>> groups(
+        partitions_.size());
+    sim::parallelFor(jobs, sourceJobs_.size(), [&](std::size_t si) {
+        const SourceJob &job = sourceJobs_[si];
+        switch (job.source) {
+          case Source::Store: {
+            bool built = false;
+            columns[job.index] = &index_->storeColumns(
+                filters_[job.index].spec.pids, &built);
+            obs::counterAdd(built ? "query.store.build"
+                                  : "query.store.hit",
+                            1);
+            break;
+          }
+          case Source::PlanLocal: {
+            obs::Span buildSpan("query.build.columns",
+                                obs::SpanKind::Index,
+                                bundle.cswitches.size());
+            const Filter &filter = filters_[job.index];
+            local[job.index] = detail::buildFilterColumns(
+                bundle, filter.spec, filter.needs);
+            columns[job.index] = &local[job.index];
+            break;
+          }
+          case Source::Partition: {
+            obs::Span buildSpan("query.build.partition",
+                                obs::SpanKind::Index,
+                                bundle.cswitches.size());
+            const Partition &partition = partitions_[job.index];
+            groups[job.index] = detail::sweepPartition(
+                bundle, partition.by, partition.keys, partition.mask,
+                partition.needs);
+            break;
+          }
+          case Source::None:
+            break;
+        }
     });
+    std::vector<std::pair<std::size_t, std::size_t>> pending;
+    for (std::size_t pi = 0; pi < groups.size(); ++pi) {
+        for (std::size_t g = 0; g < groups[pi].size(); ++g)
+            pending.emplace_back(pi, g);
+    }
+    sim::parallelFor(jobs, pending.size(), [&](std::size_t i) {
+        auto [pi, g] = pending[i];
+        detail::finishColumns(partitions_[pi].needs, groups[pi][g]);
+    });
+    for (std::size_t fi = 0; fi < filters_.size(); ++fi) {
+        const Filter &filter = filters_[fi];
+        if (filter.source == Source::Partition)
+            columns[fi] = &groups[filter.partition][filter.group].columns;
+    }
 
-    // Once per trace, not once per query: fold every pass's count
+    // Once per trace, not once per query: fold every filter's count
     // through the index's deduplicated warning, in filter order so
     // the emitted count is deterministic.
-    for (const FilterColumns &cols : columns)
-        index_->warnOutOfRangeOnce(cols.timeline.outOfRangeCpuEvents,
-                                   cols.timeline.cutoff);
+    for (const detail::FilterColumns *cols : columns) {
+        if (cols)
+            index_->warnOutOfRangeOnce(
+                cols->timeline.outOfRangeCpuEvents,
+                cols->timeline.cutoff);
+    }
 
     // Phase B: evaluate every task against the shared columns. Each
     // task writes only its own rows; errors are parked per task and
@@ -292,7 +409,7 @@ QueryPlan::run(unsigned threads) const
                     "computeConcurrency: unknown CPU count");
             if (spec.t1 <= spec.t0)
                 deskpar::fatal("computeConcurrency: empty window");
-            const FilterColumns &cols = columns[task.filterIdx];
+            const detail::FilterColumns &cols = *columns[task.filterIdx];
             ConcurrencyProfile profile;
             if (cols.timeline.usable) {
                 profile = detail::queryConcurrencyTimeline(
@@ -325,7 +442,7 @@ QueryPlan::run(unsigned threads) const
           }
           case QueryMetric::ContextSwitchRate: {
             const std::vector<SimTime> &dispatches =
-                columns[task.filterIdx].dispatches;
+                columns[task.filterIdx]->dispatches;
             auto lo = std::lower_bound(dispatches.begin(),
                                        dispatches.end(), spec.t0);
             auto hi = std::lower_bound(dispatches.begin(),
@@ -338,7 +455,7 @@ QueryPlan::run(unsigned threads) const
           }
           case QueryMetric::DurationHistogram: {
             const detail::BurstColumns &bc =
-                columns[task.filterIdx].bursts;
+                columns[task.filterIdx]->bursts;
             QueryRow &row = result.rows[task.firstRow];
             row.histogram.assign(kDurationHistogramBuckets, 0);
             // Bursts intersecting the window begin before t1 and the
@@ -375,7 +492,7 @@ QueryPlan::run(unsigned threads) const
           case QueryMetric::ReadyLatency:
           case QueryMetric::TopBlocked: {
             const detail::WaitColumns &wc =
-                columns[task.filterIdx].waits;
+                columns[task.filterIdx]->waits;
             detail::WaitFold fold;
             // Dispatch latency: switch-ins with end (= dispatch
             // time) in [t0, t1) form one contiguous range of the

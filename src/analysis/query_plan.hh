@@ -1,24 +1,38 @@
 /**
  * @file
  * The fusing query planner: compile a *batch* of Query values into an
- * execution plan that walks the cswitch stream once per distinct
- * filter, then answers every row of every query from the resulting
- * columns.
+ * execution plan that reads each distinct filter's columns from one
+ * source, then answers every row of every query from those columns.
  *
  * A naive batch evaluation (legacy::runQueries) pays one full event
  * sweep per row — a 16-query TLP/busy/csrate/dhist batch over the
  * same application re-reads the same cswitch vector dozens of times.
  * The planner deduplicates the per-row event filters (pid set, tid,
- * cpu mask) and builds, per distinct filter, every column any of its
- * rows needs — concurrency timeline, dispatch column, burst columns —
- * in ONE fused buildConcurrencyTimeline pass. Row evaluation is then
- * binary searches and checkpoint diffs. GPU rows are answered from
- * the index's shared packet columns and need no pass of their own.
+ * cpu mask), records which columns any of a filter's rows need —
+ * concurrency timeline, dispatch column, burst columns, wait columns
+ * — and takes them from one of three sources:
+ *
+ *  - shared-store: a filter over a pid set with no tid and no cpu
+ *    mask, needing no bursts, reads the index's column store
+ *    (TraceIndex::storeColumns). The store builds a key once and
+ *    keeps it, so a resident Session pays the sweep on the first
+ *    request only;
+ *  - partitioned: the rows of a by=thread / by=process group share
+ *    one partitioned sweep (detail::sweepPartition) that routes each
+ *    switch to its group, instead of one sweep per group;
+ *  - plan-local: every other filter (cpu-masked, or needing bursts)
+ *    gets one fused buildFilterColumns pass owned by the run.
+ *
+ * Row evaluation is then binary searches and checkpoint diffs. GPU
+ * rows are answered from the index's shared packet columns and need
+ * no columns of their own.
  *
  * Both phases fan out with sim::parallelFor, and the results are
  * bit-identical at any DESKPAR_JOBS:
  *  - every task writes only its own result rows, reading immutable
  *    shared columns, so values never depend on scheduling;
+ *  - every source builds the columns a separate per-filter pass would
+ *    build, bit for bit, so the source never changes a value;
  *  - the floating-point fold of each row is the same operation
  *    sequence the reference (legacy::runQuery) performs, via the
  *    shared detail:: fold helpers and the proven timeline/GPU query
@@ -35,7 +49,10 @@
 #define DESKPAR_ANALYSIS_QUERY_PLAN_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/concurrency_timeline.hh"
@@ -59,6 +76,12 @@ struct QueryPlanPass
     bool buildsDispatches = false;
     bool buildsBursts = false;
     bool buildsWaits = false;
+    /**
+     * Where the columns come from: "shared-store", "plan-local" or
+     * "partitioned:thread" / "partitioned:process"; empty when the
+     * filter needs no cswitch columns.
+     */
+    std::string source;
 };
 
 /** What `deskpar query --explain` prints. */
@@ -67,7 +90,10 @@ struct QueryPlanExplain
     std::size_t queries = 0;
     std::size_t rows = 0;
     std::size_t distinctFilters = 0;
-    /** Filters whose pass actually sweeps the cswitch stream. */
+    /**
+     * Distinct column sources: one per shared-store or plan-local
+     * filter, one per partitioned group-by sweep.
+     */
     std::size_t columnPasses = 0;
     std::vector<QueryPlanPass> passes;
 
@@ -100,14 +126,38 @@ class QueryPlan
   private:
     QueryPlan() = default;
 
+    enum class Source : std::uint8_t { None, Store, PlanLocal, Partition };
+
     /** One distinct row filter and the columns its rows need. */
     struct Filter
     {
         detail::TimelineSpec spec;
         bool needTimeline = false;
-        bool needDispatches = false;
-        bool needBursts = false;
-        bool needWaits = false;
+        detail::ColumnNeeds needs;
+        /** Set when a by=process/by=thread group row uses it. */
+        std::optional<detail::PartitionBy> groupBy;
+        Source source = Source::None;
+        /** Source::Partition: partitions_[partition], key group. */
+        std::size_t partition = 0;
+        std::size_t group = 0;
+    };
+
+    /** One partitioned sweep: the groups of one (kind, cpu mask). */
+    struct Partition
+    {
+        detail::PartitionBy by = detail::PartitionBy::Process;
+        detail::CpuMask mask = detail::kAllCpus;
+        /** Sorted, unique group keys ((pid, 0) for processes). */
+        std::vector<std::pair<trace::Pid, trace::Tid>> keys;
+        detail::ColumnNeeds needs;
+    };
+
+    /** One unit of phase A: a filter's source or a partition. */
+    struct SourceJob
+    {
+        Source source = Source::None;
+        /** Filter index (Store/PlanLocal) or partition index. */
+        std::size_t index = 0;
     };
 
     /**
@@ -129,6 +179,8 @@ class QueryPlan
     /** Per-query results with rows pre-shaped (values unset). */
     std::vector<QueryResult> skeleton_;
     std::vector<Filter> filters_;
+    std::vector<Partition> partitions_;
+    std::vector<SourceJob> sourceJobs_;
     std::vector<Task> tasks_;
     QueryPlanExplain explain_;
 };

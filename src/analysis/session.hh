@@ -128,10 +128,12 @@ class Session
                                sim::SimDuration window) const;
 
     /**
-     * Compile a query batch into a fused plan (query_plan.hh): one
-     * cswitch pass per distinct filter instead of one per row. The
-     * plan borrows the Session's index and can be inspected
-     * (explain()) and run repeatedly.
+     * Compile a query batch into a fused plan (query_plan.hh): each
+     * distinct filter reads its columns from one source — the
+     * index's shared column store, one partitioned pass per group-by,
+     * or one plan-local pass — instead of one sweep per row. The plan
+     * borrows the Session's index and can be inspected (explain())
+     * and run repeatedly.
      */
     QueryPlan plan(const std::vector<Query> &queries) const;
 

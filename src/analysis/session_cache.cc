@@ -17,13 +17,17 @@ namespace deskpar::analysis {
 namespace {
 
 /**
- * Flat allowance for the index columns the bundle estimate cannot
- * see. The columns are a constant-factor reshape of the cswitch
- * stream, which dominates memoryBytes() for any trace large enough
- * to matter for eviction, so a small fixed pad keeps the accounting
- * honest without a second estimator.
+ * What a resident Session costs the budget: the bundle plus every
+ * column its index has built so far. Queries grow the column store
+ * (each app filter adds a pid set), so the cost is re-read whenever
+ * the entry is touched.
  */
-constexpr std::uint64_t kIndexAllowanceBytes = 256u << 10;
+std::uint64_t
+residentCost(const Session &session)
+{
+    return session.bundle().memoryBytes() +
+           session.index().columnBytes();
+}
 
 bool
 hasSuffix(const std::string &path, const char *suffix)
@@ -123,8 +127,7 @@ SessionCache::fill(Slot &slot, const std::string &path,
             std::chrono::steady_clock::now() - start)
             .count();
 
-    slot.bytes =
-        session->bundle().memoryBytes() + kIndexAllowanceBytes;
+    slot.bytes = residentCost(*session);
     slot.session = std::move(session);
     slot.report = std::move(report);
 }
@@ -201,8 +204,16 @@ SessionCache::acquire(const std::string &path, trace::ParseMode mode)
             auto it = slots_.find(key);
             bool mapped = it != slots_.end() && it->second == slot;
             if (fresh) {
-                if (mapped)
+                if (mapped) {
                     slot->lastUse = ++clock_;
+                    // Charge the columns earlier requests left in
+                    // the store (a mapped Ready slot is resident),
+                    // then evict around this entry.
+                    std::uint64_t bytes = residentCost(*slot->session);
+                    residentBytes_ = residentBytes_ - slot->bytes + bytes;
+                    slot->bytes = bytes;
+                    enforceBudgetLocked(slot.get());
+                }
                 ++counters_.hits;
                 return Lease{slot->session, slot->report,
                              slot->ingest, /*warm=*/true};

@@ -26,12 +26,19 @@
  *    stale results: the mismatching entry is dropped and re-ingested.
  *
  *  - **Eviction by bytes.** Entry cost is the bundle's memoryBytes()
- *    estimate plus a fixed index allowance. When the resident total
- *    exceeds maxBytes, least-recently-used Ready entries are dropped
- *    until it fits (in-flight leases keep their Session alive via
- *    shared_ptr; eviction only severs the cache's reference). A
- *    single entry larger than the whole budget is admitted — and
- *    becomes the first eviction victim when anything else arrives.
+ *    estimate plus the index's columnBytes(), re-read whenever the
+ *    entry is touched, so the columns app-filtered queries leave in
+ *    the index's store count against the budget from the next
+ *    acquire on. When the resident total exceeds maxBytes,
+ *    least-recently-used Ready entries are dropped until it fits
+ *    (in-flight leases keep their Session alive via shared_ptr;
+ *    eviction only severs the cache's reference). The entry being
+ *    acquired is never its own victim: a single entry larger than
+ *    the whole budget is admitted, and a resident entry whose store
+ *    grows past the budget (one column set per distinct pid set its
+ *    queries name, kept for the Session's life) stays resident while
+ *    it is touched. Either way it becomes the first eviction victim
+ *    when another entry is acquired.
  *
  *  - **Failure is not cached.** An ingest that throws removes the
  *    Loading slot and rethrows to every waiter; the next acquire

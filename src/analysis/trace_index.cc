@@ -18,24 +18,25 @@ using sim::SimTime;
 
 /**
  * Columns derived from the events of one pid set. The cswitch-derived
- * pieces (timeline + dispatch column) are built in one fused sweep
- * (detail::buildConcurrencyTimeline, shared with the query planner);
- * frame statistics sweep a different event vector and build on first
- * use.
+ * pieces (timeline, dispatch column, ready waits) are built in one
+ * fused sweep (detail::buildFilterColumns, shared with the query
+ * planner); frame statistics sweep a different event vector and build
+ * on first use. Each family has its own build lock, held only while
+ * that family of this pid set builds, and a flag that publishes the
+ * finished columns to lock-free readers.
  */
 struct TraceIndex::PidColumns
 {
     trace::PidSet pids;
 
-    bool cswitchBuilt = false;
-    detail::ConcurrencyTimeline timeline;
-    /** Sorted switch-in times of target threads (responsiveness). */
-    std::vector<SimTime> dispatches;
-    /** Ready-wait intervals, end-sorted (the index cache spills
-     *  these so a warm `deskpar serve` reopen keeps them). */
-    detail::WaitColumns waits;
+    std::mutex cswitchMutex;
+    std::atomic<bool> cswitchBuilt{false};
+    /** Timeline + dispatches + waits (the index cache spills the
+     *  waits so a warm `deskpar serve` reopen keeps them). */
+    detail::FilterColumns cswitch;
 
-    bool framesBuilt = false;
+    std::mutex framesMutex;
+    std::atomic<bool> framesBuilt{false};
     FrameStats frames;
 };
 
@@ -60,9 +61,9 @@ struct TraceIndex::CpuBusyColumns
 namespace {
 
 /**
- * Fused sweep: concurrency timeline + dispatch column, via the
- * shared builder with this pid set's default filter (no tid, all
- * cpus) — the exact historical TraceIndex sweep.
+ * Fused sweep: concurrency timeline, dispatch column and ready waits,
+ * via the shared builder with this pid set's default filter (no tid,
+ * all cpus) — the exact historical TraceIndex sweep.
  */
 void
 buildCswitchColumns(const trace::TraceBundle &bundle,
@@ -72,9 +73,10 @@ buildCswitchColumns(const trace::TraceBundle &bundle,
                    bundle.cswitches.size());
     detail::TimelineSpec spec;
     spec.pids = cols.pids;
-    detail::buildConcurrencyTimeline(bundle, spec, cols.timeline,
-                                     &cols.dispatches, nullptr,
-                                     &cols.waits);
+    detail::ColumnNeeds needs;
+    needs.dispatches = true;
+    needs.waits = true;
+    cols.cswitch = detail::buildFilterColumns(bundle, spec, needs);
 }
 
 // ---- column-blob primitives (index cache serialization) ----
@@ -163,13 +165,18 @@ TraceIndex::TraceIndex(const TraceBundle &bundle) : bundle_(bundle) {}
 
 TraceIndex::~TraceIndex() = default;
 
-const TraceIndex::PidColumns &
+TraceIndex::PidColumns &
 TraceIndex::pidColumns(const PidSet &pids) const
 {
     std::vector<trace::Pid> key(pids.begin(), pids.end());
     std::sort(key.begin(), key.end());
-
-    std::lock_guard<std::mutex> lock(mutex_);
+    {
+        std::shared_lock<std::shared_mutex> lock(mapMutex_);
+        auto it = perPid_.find(key);
+        if (it != perPid_.end())
+            return *it->second;
+    }
+    std::unique_lock<std::shared_mutex> lock(mapMutex_);
     std::unique_ptr<PidColumns> &slot = perPid_[std::move(key)];
     if (!slot) {
         slot = std::make_unique<PidColumns>();
@@ -179,27 +186,41 @@ TraceIndex::pidColumns(const PidSet &pids) const
 }
 
 const TraceIndex::PidColumns &
+TraceIndex::ensureCswitch(PidColumns &cols, bool *built) const
+{
+    if (built)
+        *built = false;
+    if (cols.cswitchBuilt.load(std::memory_order_acquire))
+        return cols;
+    std::lock_guard<std::mutex> lock(cols.cswitchMutex);
+    if (!cols.cswitchBuilt.load(std::memory_order_relaxed)) {
+        // A restored index has no cswitch stream to sweep — the
+        // cache intentionally drops it. Recomputing here would
+        // silently return empty columns; fail loudly instead.
+        if (restored_)
+            deskpar::fatal(
+                "TraceIndex: pid set not present in the restored "
+                "index cache (reopen the trace with a cold ingest)");
+        buildCswitchColumns(bundle_, cols);
+        cols.cswitchBuilt.store(true, std::memory_order_release);
+        if (built)
+            *built = true;
+    }
+    return cols;
+}
+
+const detail::FilterColumns &
+TraceIndex::storeColumns(const PidSet &pids, bool *built) const
+{
+    return ensureCswitch(pidColumns(pids), built).cswitch;
+}
+
+const TraceIndex::PidColumns &
 TraceIndex::cswitchColumns(const PidSet &pids) const
 {
-    const PidColumns &cols = pidColumns(pids);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!cols.cswitchBuilt) {
-            // A restored index has no cswitch stream to sweep — the
-            // cache intentionally drops it. Recomputing here would
-            // silently return empty columns; fail loudly instead.
-            if (restored_)
-                deskpar::fatal(
-                    "TraceIndex: pid set not present in the restored "
-                    "index cache (reopen the trace with a cold "
-                    "ingest)");
-            auto &mutable_cols = const_cast<PidColumns &>(cols);
-            buildCswitchColumns(bundle_, mutable_cols);
-            mutable_cols.cswitchBuilt = true;
-        }
-    }
-    warnOutOfRangeOnce(cols.timeline.outOfRangeCpuEvents,
-                       cols.timeline.cutoff);
+    const PidColumns &cols = ensureCswitch(pidColumns(pids), nullptr);
+    warnOutOfRangeOnce(cols.cswitch.timeline.outOfRangeCpuEvents,
+                       cols.cswitch.timeline.cutoff);
     return cols;
 }
 
@@ -217,7 +238,9 @@ TraceIndex::warnOutOfRangeOnce(std::uint64_t count,
 const TraceIndex::GpuColumns &
 TraceIndex::gpuColumns() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    if (gpuBuilt_.load(std::memory_order_acquire))
+        return *gpu_;
+    std::lock_guard<std::mutex> lock(gpuMutex_);
     if (!gpu_) {
         obs::Span span("index.build.gpu", obs::SpanKind::Index,
                        bundle_.gpuPackets.size());
@@ -236,13 +259,16 @@ TraceIndex::gpuColumns() const
         }
         gpu_ = std::move(gc);
     }
+    gpuBuilt_.store(true, std::memory_order_release);
     return *gpu_;
 }
 
 const TraceIndex::CpuBusyColumns &
 TraceIndex::cpuBusyColumns() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    if (cpuBusyBuilt_.load(std::memory_order_acquire))
+        return *cpuBusy_;
+    std::lock_guard<std::mutex> lock(cpuBusyMutex_);
     if (!cpuBusy_) {
         if (restored_)
             deskpar::fatal(
@@ -255,6 +281,7 @@ TraceIndex::cpuBusyColumns() const
         cb->busy = detail::cpuBusyIntervals(bundle_);
         cpuBusy_ = std::move(cb);
     }
+    cpuBusyBuilt_.store(true, std::memory_order_release);
     return *cpuBusy_;
 }
 
@@ -270,8 +297,9 @@ TraceIndex::concurrency(const PidSet &pids, SimTime t0, SimTime t1,
     if (t1 <= t0)
         deskpar::fatal("computeConcurrency: empty window");
 
-    const PidColumns &cols = cswitchColumns(pids);
-    if (!cols.timeline.usable || cols.timeline.cutoff != resolved) {
+    const detail::ConcurrencyTimeline &timeline =
+        cswitchColumns(pids).cswitch.timeline;
+    if (!timeline.usable || timeline.cutoff != resolved) {
         if (restored_)
             deskpar::fatal(
                 "TraceIndex: query needs a cswitch sweep the "
@@ -287,7 +315,7 @@ TraceIndex::concurrency(const PidSet &pids, SimTime t0, SimTime t1,
         warnOutOfRangeOnce(profile.outOfRangeCpuEvents, resolved);
         return profile;
     }
-    return detail::queryConcurrencyTimeline(cols.timeline, t0, t1);
+    return detail::queryConcurrencyTimeline(timeline, t0, t1);
 }
 
 ConcurrencyProfile
@@ -333,16 +361,16 @@ FrameStats
 TraceIndex::frameStats(const PidSet &pids) const
 {
     obs::Span span("index.query.frames", obs::SpanKind::Query);
-    const PidColumns &cols = pidColumns(pids);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!cols.framesBuilt) {
-        obs::Span buildSpan("index.build.frames",
-                            obs::SpanKind::Index,
-                            bundle_.frames.size());
-        auto &mutable_cols = const_cast<PidColumns &>(cols);
-        mutable_cols.frames =
-            legacy::computeFrameStats(bundle_, pids);
-        mutable_cols.framesBuilt = true;
+    PidColumns &cols = pidColumns(pids);
+    if (!cols.framesBuilt.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> lock(cols.framesMutex);
+        if (!cols.framesBuilt.load(std::memory_order_relaxed)) {
+            obs::Span buildSpan("index.build.frames",
+                                obs::SpanKind::Index,
+                                bundle_.frames.size());
+            cols.frames = legacy::computeFrameStats(bundle_, pids);
+            cols.framesBuilt.store(true, std::memory_order_release);
+        }
     }
     return cols.frames;
 }
@@ -352,9 +380,8 @@ TraceIndex::responsiveness(const PidSet &pids) const
 {
     obs::Span span("index.query.responsiveness",
                    obs::SpanKind::Query);
-    const PidColumns &cols = cswitchColumns(pids);
-    return detail::responsivenessFromDispatches(bundle_,
-                                                cols.dispatches);
+    return detail::responsivenessFromDispatches(
+        bundle_, cswitchColumns(pids).cswitch.dispatches);
 }
 
 PowerEstimate
@@ -385,24 +412,50 @@ TraceIndex::hasCswitchColumns(const PidSet &pids) const
 {
     std::vector<trace::Pid> key(pids.begin(), pids.end());
     std::sort(key.begin(), key.end());
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_lock<std::shared_mutex> lock(mapMutex_);
     auto it = perPid_.find(key);
-    return it != perPid_.end() && it->second->cswitchBuilt;
+    return it != perPid_.end() &&
+           it->second->cswitchBuilt.load(std::memory_order_acquire);
+}
+
+std::uint64_t
+TraceIndex::columnBytes() const
+{
+    std::uint64_t bytes = 0;
+    {
+        std::shared_lock<std::shared_mutex> lock(mapMutex_);
+        for (const auto &[key, slot] : perPid_) {
+            bytes += sizeof(PidColumns) +
+                     key.capacity() * sizeof(trace::Pid);
+            if (slot->cswitchBuilt.load(std::memory_order_acquire))
+                bytes += slot->cswitch.bytes();
+        }
+    }
+    if (gpuBuilt_.load(std::memory_order_acquire))
+        bytes += (gpu_->starts.capacity() +
+                  gpu_->maxFinish.capacity()) *
+                 sizeof(SimTime);
+    if (cpuBusyBuilt_.load(std::memory_order_acquire)) {
+        for (const auto &[cpu, intervals] : cpuBusy_->busy)
+            bytes += intervals.capacity() * sizeof(Interval);
+    }
+    return bytes;
 }
 
 std::string
 TraceIndex::serializeColumns() const
 {
-    // Build the pid-agnostic families first (their builders take the
-    // same mutex the serialization walk holds).
     const GpuColumns &gc = gpuColumns();
     const CpuBusyColumns &cb = cpuBusyColumns();
 
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_lock<std::shared_mutex> lock(mapMutex_);
     obs::Span span("index.serialize", obs::SpanKind::Index);
 
+    // A pid set whose build is still in flight on another thread
+    // serializes as not built; a finished one is immutable.
     for (const auto &[key, slot] : perPid_) {
-        if (slot->cswitchBuilt && !slot->timeline.usable)
+        if (slot->cswitchBuilt.load(std::memory_order_acquire) &&
+            !slot->cswitch.timeline.usable)
             return std::string(); // legacy-fallback index: no cache
     }
 
@@ -443,9 +496,11 @@ TraceIndex::serializeColumns() const
             prevPid = pid;
         }
         const PidColumns &c = *slot;
-        out.push_back(c.cswitchBuilt ? 1 : 0);
-        if (c.cswitchBuilt) {
-            const detail::ConcurrencyTimeline &tl = c.timeline;
+        bool cswitchBuilt =
+            c.cswitchBuilt.load(std::memory_order_acquire);
+        out.push_back(cswitchBuilt ? 1 : 0);
+        if (cswitchBuilt) {
+            const detail::ConcurrencyTimeline &tl = c.cswitch.timeline;
             out.push_back(tl.usable ? 1 : 0);
             trace::putVarint(out, tl.cutoff);
             trace::putVarint(out, tl.outOfRangeCpuEvents);
@@ -461,28 +516,29 @@ TraceIndex::serializeColumns() const
             trace::putVarint(out, tl.cum.size());
             for (SimDuration d : tl.cum)
                 trace::putVarint(out, d);
-            trace::putVarint(out, c.dispatches.size());
+            trace::putVarint(out, c.cswitch.dispatches.size());
             prev = 0;
-            for (SimTime t : c.dispatches) { // sorted
+            for (SimTime t : c.cswitch.dispatches) { // sorted
                 trace::putVarint(out, t - prev);
                 prev = t;
             }
-            trace::putVarint(out, c.waits.begin.size());
+            trace::putVarint(out, c.cswitch.waits.begin.size());
             prev = 0;
-            for (SimTime t : c.waits.begin) {
+            for (SimTime t : c.cswitch.waits.begin) {
                 putZigzag(out, static_cast<std::int64_t>(t - prev));
                 prev = t;
             }
             prev = 0;
-            for (SimTime t : c.waits.end) { // end-sorted
+            for (SimTime t : c.cswitch.waits.end) { // end-sorted
                 trace::putVarint(out, t - prev);
                 prev = t;
             }
             // minBegin is the suffix minimum of the begin column in
             // this order — recomputed on adopt, never stored.
         }
-        out.push_back(c.framesBuilt ? 1 : 0);
-        if (c.framesBuilt) {
+        bool framesBuilt = c.framesBuilt.load(std::memory_order_acquire);
+        out.push_back(framesBuilt ? 1 : 0);
+        if (framesBuilt) {
             trace::putVarint(out, c.frames.frames);
             trace::putVarint(out, c.frames.synthesizedFrames);
             putDoubleBits(out, c.frames.avgFps);
@@ -496,7 +552,7 @@ TraceIndex::serializeColumns() const
 bool
 TraceIndex::adoptColumns(std::string_view data, std::string *error)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::shared_mutex> lock(mapMutex_);
     if (gpu_ || cpuBusy_ || !perPid_.empty())
         deskpar::fatal(
             "TraceIndex::adoptColumns: columns already built");
@@ -587,7 +643,7 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
         if (!getByte(data, pos, flag))
             return fail("truncated cswitch-built flag");
         if (flag) {
-            detail::ConcurrencyTimeline &tl = cols->timeline;
+            detail::ConcurrencyTimeline &tl = cols->cswitch.timeline;
             if (!getByte(data, pos, flag))
                 return fail("truncated timeline header");
             tl.usable = flag != 0;
@@ -627,18 +683,19 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             }
             if (!getCount(data, pos, n))
                 return fail("corrupt dispatch-column size");
-            cols->dispatches.reserve(static_cast<std::size_t>(n));
+            cols->cswitch.dispatches.reserve(
+                static_cast<std::size_t>(n));
             prev = 0;
             for (std::uint64_t i = 0; i < n; ++i) {
                 std::uint64_t d = 0;
                 if (!getU64(data, pos, d))
                     return fail("truncated dispatch column");
                 prev += d;
-                cols->dispatches.push_back(prev);
+                cols->cswitch.dispatches.push_back(prev);
             }
             if (!getCount(data, pos, n))
                 return fail("corrupt wait-column size");
-            detail::WaitColumns &w = cols->waits;
+            detail::WaitColumns &w = cols->cswitch.waits;
             w.begin.reserve(static_cast<std::size_t>(n));
             w.end.reserve(static_cast<std::size_t>(n));
             w.minBegin.reserve(static_cast<std::size_t>(n));
@@ -694,6 +751,8 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
 
     gpu_ = std::move(gc);
     cpuBusy_ = std::move(cb);
+    gpuBuilt_.store(true, std::memory_order_release);
+    cpuBusyBuilt_.store(true, std::memory_order_release);
     restored_ = true;
     return true;
 }

@@ -31,10 +31,13 @@
  * the header) transparently fall back to the legacy sweep, panics
  * and all.
  *
- * Thread safety: column builds are serialized on an internal mutex;
- * queries after a build only read. The index borrows the bundle — the
- * caller keeps the bundle alive and unmodified for the index's
- * lifetime.
+ * Thread safety: each column family is built at most once, under its
+ * own build lock — per pid set for the cswitch and frame columns, per
+ * index for the GPU and per-CPU busy columns — so builds of different
+ * keys run concurrently, and a reader of an already-built family
+ * takes one atomic load and never waits for a build. The index
+ * borrows the bundle — the caller keeps the bundle alive and
+ * unmodified for the index's lifetime.
  */
 
 #ifndef DESKPAR_ANALYSIS_TRACE_INDEX_HH
@@ -45,10 +48,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "analysis/concurrency_timeline.hh"
 #include "analysis/framerate.hh"
 #include "analysis/gpu_util.hh"
 #include "analysis/power.hh"
@@ -158,6 +163,25 @@ class TraceIndex
     bool hasCswitchColumns(const PidSet &pids) const;
 
     /**
+     * The shared column store: the cswitch columns of @p pids under
+     * the default filter (no tid, all cpus) — concurrency timeline,
+     * sorted dispatches and end-sorted ready waits (no bursts). Built
+     * at most once per pid set; @p built (optional) reports whether
+     * this call performed the build. Emits no out-of-range warning
+     * (callers fold the count through warnOutOfRangeOnce in their own
+     * order). Fatal on a restored index that lacks the pid set.
+     */
+    const detail::FilterColumns &storeColumns(const PidSet &pids,
+                                              bool *built = nullptr) const;
+
+    /**
+     * Heap bytes of every column built so far (cswitch, frame, GPU
+     * and per-CPU busy columns), for the resident-cache budget. Safe
+     * to call while other threads build or query.
+     */
+    std::uint64_t columnBytes() const;
+
+    /**
      * Column layouts; defined in trace_index.cc (opaque to callers,
      * named here so the build/query helpers can take them).
      */
@@ -166,7 +190,10 @@ class TraceIndex
     struct CpuBusyColumns;
 
   private:
-    const PidColumns &pidColumns(const PidSet &pids) const;
+    PidColumns &pidColumns(const PidSet &pids) const;
+    /** Build @p cols' cswitch family unless built (per-key once). */
+    const PidColumns &ensureCswitch(PidColumns &cols, bool *built) const;
+    /** storeColumns plus the once-per-trace out-of-range warning. */
     const PidColumns &cswitchColumns(const PidSet &pids) const;
     const GpuColumns &gpuColumns() const;
     const CpuBusyColumns &cpuBusyColumns() const;
@@ -179,12 +206,23 @@ class TraceIndex
     /** Columns restored from a cache blob (adoptColumns). */
     mutable bool restored_ = false;
 
-    mutable std::mutex mutex_;
+    /**
+     * Guards the perPid_ map structure only (find / insert), never a
+     * build: a slot's columns are guarded by the slot's own build
+     * locks and published through its built flags.
+     */
+    mutable std::shared_mutex mapMutex_;
     /** Per-pid-set columns, keyed by the sorted pid list. */
     mutable std::map<std::vector<trace::Pid>,
                      std::unique_ptr<PidColumns>>
         perPid_;
+
+    /** Build lock + published flag of gpu_ and cpuBusy_. */
+    mutable std::mutex gpuMutex_;
+    mutable std::atomic<bool> gpuBuilt_{false};
     mutable std::unique_ptr<GpuColumns> gpu_;
+    mutable std::mutex cpuBusyMutex_;
+    mutable std::atomic<bool> cpuBusyBuilt_{false};
     mutable std::unique_ptr<CpuBusyColumns> cpuBusy_;
 };
 

@@ -415,14 +415,25 @@ Server::writeLine(Conn &conn, const std::string &line)
     std::string framed = line;
     framed += '\n';
     std::lock_guard<std::mutex> lock(conn.writeMutex);
+    // A false return means the peer went away; the demux loop will
+    // notice.
+    sendAll(conn.fd, framed);
+}
+
+bool
+sendAll(int fd, const std::string &data)
+{
     std::size_t sent = 0;
-    while (sent < framed.size()) {
-        ssize_t n = ::send(conn.fd, framed.data() + sent,
-                           framed.size() - sent, MSG_NOSIGNAL);
+    while (sent < data.size()) {
+        ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                           MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
         if (n <= 0)
-            return; // peer went away; the demux loop will notice
+            return false;
         sent += static_cast<std::size_t>(n);
     }
+    return true;
 }
 
 void

@@ -164,6 +164,14 @@ class Server
     std::chrono::steady_clock::time_point startTime_;
 };
 
+/**
+ * Write all of @p data to the stream socket @p fd: partial sends
+ * continue, and a send a signal interrupted (EINTR) is retried.
+ * Returns false only on a real peer error, which loses the data with
+ * the connection.
+ */
+bool sendAll(int fd, const std::string &data);
+
 } // namespace deskpar::serve
 
 #endif // DESKPAR_SERVE_SERVER_HH

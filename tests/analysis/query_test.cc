@@ -15,12 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "analysis/concurrency_timeline.hh"
 #include "analysis/query.hh"
 #include "analysis/query_plan.hh"
 #include "analysis/session.hh"
@@ -452,6 +455,10 @@ TEST(QueryPlanTest, FusesSharedFiltersIntoOnePass)
     EXPECT_TRUE(explain.passes[0].buildsTimeline);
     EXPECT_TRUE(explain.passes[0].buildsDispatches);
     EXPECT_TRUE(explain.passes[0].buildsBursts);
+    // Bursts are not in the shared store, so {5} gets a plan-local
+    // pass; the system-wide filter reads the store.
+    EXPECT_EQ(explain.passes[0].source, "plan-local");
+    EXPECT_EQ(explain.passes[1].source, "shared-store");
     EXPECT_FALSE(explain.str().empty());
 
     std::vector<QueryResult> first = plan.run(2);
@@ -469,6 +476,345 @@ TEST(QueryPlanTest, FusesSharedFiltersIntoOnePass)
     expectResultsEqual(session.query(batch, 2), first);
 
     EXPECT_TRUE(session.query({}).empty());
+}
+
+/** Every cswitch metric (everything but gpu). */
+const std::vector<QueryMetric> &
+cswitchMetrics()
+{
+    static const std::vector<QueryMetric> kMetrics = {
+        QueryMetric::Tlp,          QueryMetric::BusyFraction,
+        QueryMetric::ContextSwitchRate,
+        QueryMetric::DurationHistogram,
+        QueryMetric::WaitFraction, QueryMetric::ReadyLatency,
+        QueryMetric::TopBlocked};
+    return kMetrics;
+}
+
+/** A random batch that leans on the shared store's filter shape. */
+std::vector<Query>
+storeBatch(Rng &rng, const TraceBundle &bundle)
+{
+    std::vector<Query> batch;
+    for (int i = 0; i < 10; ++i) {
+        Query q = randomQuery(rng, bundle);
+        // Half the queries take the store's shape: no cpu mask, no
+        // group-by, a non-burst metric.
+        if (rng.below(2)) {
+            q.filter.cpuMask = detail::kAllCpus;
+            q.groupBy = QueryGroupBy::None;
+            if (q.metric == QueryMetric::DurationHistogram)
+                q.metric = QueryMetric::Tlp;
+        }
+        batch.push_back(q);
+    }
+    return batch;
+}
+
+/**
+ * The shared column store changes where columns live, never a value:
+ * a fresh Session, a Session whose store is already warm, and a
+ * second run of an identical plan (pure store hits) all match the
+ * reference at every thread count.
+ */
+TEST(QueryStore, FreshWarmedAndRepeatedPlansMatchReference)
+{
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        TraceBundle bundle = randomBundle(seed + 100);
+        Rng rng(seed ^ 0x570E);
+        std::vector<Query> batch = storeBatch(rng, bundle);
+        std::vector<QueryResult> reference =
+            legacy::runQueries(bundle, batch);
+
+        for (unsigned threads : {1u, 2u, 7u}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                         std::to_string(threads));
+            Session fresh(bundle);
+            expectResultsEqual(fresh.query(batch, threads), reference);
+
+            Session warmed(bundle);
+            for (const auto &pids : pidSets())
+                warmed.index().warm(pids);
+            QueryPlan plan = warmed.plan(batch);
+            expectResultsEqual(plan.run(threads), reference);
+            expectResultsEqual(plan.run(threads), reference);
+            expectResultsEqual(warmed.plan(batch).run(threads),
+                               reference);
+        }
+    }
+}
+
+/**
+ * Store timelines poisoned by a disordered stream fall back to the
+ * per-row sweep exactly as plan-local ones do: same value or same
+ * first failure, fresh or warm, at any thread count.
+ */
+TEST(QueryStore, DisorderedStreamsFallBackIdentically)
+{
+    BundleSpec spec;
+    spec.shuffleCswitches = true;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        TraceBundle bundle = randomBundle(seed + 200, spec);
+        Rng rng(seed + 77);
+        std::vector<Query> batch = storeBatch(rng, bundle);
+
+        std::string want = outcome([&] {
+            return fingerprintResults(
+                legacy::runQueries(bundle, batch));
+        });
+        Session warmed(bundle);
+        warmed.index().warm({});
+        for (unsigned threads : {1u, 2u, 7u}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                         std::to_string(threads));
+            Session fresh(bundle);
+            EXPECT_EQ(outcome([&] {
+                          return fingerprintResults(
+                              fresh.query(batch, threads));
+                      }),
+                      want);
+            EXPECT_EQ(outcome([&] {
+                          return fingerprintResults(
+                              warmed.query(batch, threads));
+                      }),
+                      want);
+        }
+    }
+}
+
+/**
+ * Out-of-range cpus: store-backed rows match the reference, and the
+ * warning stays once per trace whether the store built the columns
+ * (index warm, then a plan) or the plan did.
+ */
+TEST(QueryStore, OutOfRangeCpusWarnOnceAcrossStoreAndPlans)
+{
+    trace::CollectingDiagnosticSink sink;
+    trace::ScopedDiagnosticSink scoped(sink);
+
+    BundleSpec spec;
+    spec.outOfRangeCpus = true;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        TraceBundle bundle = randomBundle(seed + 300, spec);
+        Rng rng(seed + 5);
+        std::vector<Query> batch = storeBatch(rng, bundle);
+        batch.push_back(tlpQuery({}));
+        std::vector<QueryResult> reference =
+            legacy::runQueries(bundle, batch);
+
+        std::size_t before = sink.count(trace::Severity::Warning);
+        Session session(bundle);
+        session.index().warm({});
+        for (unsigned threads : {1u, 2u, 7u})
+            expectResultsEqual(session.query(batch, threads),
+                               reference);
+        EXPECT_EQ(sink.count(trace::Severity::Warning), before + 1);
+    }
+}
+
+/**
+ * Concurrent plans on one Session that need different store keys
+ * build them at the same time (per-key once-init) and still match
+ * the reference; each key is built exactly once.
+ */
+TEST(QueryStore, ConcurrentPlansBuildDifferentKeys)
+{
+    TraceBundle bundle = randomBundle(31, BundleSpec{8, 2000});
+    Session session(bundle);
+
+    std::vector<std::vector<Query>> batches;
+    for (const auto &pids : pidSets()) {
+        std::vector<Query> batch;
+        for (QueryMetric metric :
+             {QueryMetric::Tlp, QueryMetric::ContextSwitchRate,
+              QueryMetric::WaitFraction}) {
+            Query q;
+            q.metric = metric;
+            q.filter.pids = pids;
+            batch.push_back(q);
+        }
+        batches.push_back(batch);
+    }
+    std::vector<std::vector<QueryResult>> references;
+    for (const auto &batch : batches)
+        references.push_back(legacy::runQueries(bundle, batch));
+
+    constexpr unsigned kRounds = 3;
+    std::vector<std::vector<QueryResult>> results(batches.size() *
+                                                  kRounds);
+    std::atomic<unsigned> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        threads.emplace_back([&, i] {
+            ready.fetch_add(1);
+            while (ready.load() < results.size()) {
+            }
+            results[i] =
+                session.query(batches[i % batches.size()], 2);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        SCOPED_TRACE("plan " + std::to_string(i));
+        expectResultsEqual(results[i],
+                           references[i % batches.size()]);
+    }
+    for (const auto &pids : pidSets())
+        EXPECT_TRUE(session.index().hasCswitchColumns(pids));
+}
+
+/** Columns of one group, compared family by family. */
+void
+expectColumnsEqual(const detail::FilterColumns &got,
+                   const detail::FilterColumns &want)
+{
+    EXPECT_EQ(got.timeline.usable, want.timeline.usable);
+    EXPECT_EQ(got.timeline.cutoff, want.timeline.cutoff);
+    EXPECT_EQ(got.timeline.outOfRangeCpuEvents,
+              want.timeline.outOfRangeCpuEvents);
+    EXPECT_EQ(got.timeline.times, want.timeline.times);
+    EXPECT_EQ(got.timeline.levels, want.timeline.levels);
+    EXPECT_EQ(got.timeline.cum, want.timeline.cum);
+    EXPECT_EQ(got.dispatches, want.dispatches);
+    ASSERT_EQ(got.bursts.bursts.size(), want.bursts.bursts.size());
+    for (std::size_t i = 0; i < got.bursts.bursts.size(); ++i) {
+        EXPECT_EQ(got.bursts.bursts[i].begin,
+                  want.bursts.bursts[i].begin);
+        EXPECT_EQ(got.bursts.bursts[i].end, want.bursts.bursts[i].end);
+    }
+    EXPECT_EQ(got.bursts.maxEnd, want.bursts.maxEnd);
+    EXPECT_EQ(got.waits.begin, want.waits.begin);
+    EXPECT_EQ(got.waits.end, want.waits.end);
+    EXPECT_EQ(got.waits.minBegin, want.waits.minBegin);
+}
+
+/**
+ * The partitioned sweep hands every group exactly the columns a
+ * separate per-filter pass over that group's spec builds — on sorted,
+ * disordered and out-of-range-cpu streams, with and without a cpu
+ * mask, for thread and process groups, including a pid-0 group that
+ * no switch may target.
+ */
+TEST(QueryGroupBy, PartitionedColumnsEqualPerFilterColumns)
+{
+    detail::ColumnNeeds needs;
+    needs.dispatches = true;
+    needs.bursts = true;
+    needs.waits = true;
+    for (std::uint64_t seed = 0; seed < 9; ++seed) {
+        BundleSpec spec;
+        spec.shuffleCswitches = seed % 3 == 1;
+        spec.outOfRangeCpus = seed % 3 == 2;
+        TraceBundle bundle = randomBundle(seed + 400, spec);
+        for (detail::CpuMask mask :
+             {detail::kAllCpus, detail::CpuMask{0x5B}}) {
+            std::vector<std::pair<Pid, trace::Tid>> threadKeys;
+            for (Pid pid : {5, 6, 7, 9})
+                for (trace::Tid k = 0; k < 3; ++k)
+                    threadKeys.emplace_back(pid, pid * 10 + k);
+            std::vector<std::pair<Pid, trace::Tid>> processKeys = {
+                {0, 0}, {5, 0}, {7, 0}, {9, 0}};
+
+            for (bool byThread : {true, false}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) +
+                             (byThread ? " thread" : " process") +
+                             " mask " + std::to_string(mask));
+                const auto &keys = byThread ? threadKeys : processKeys;
+                std::vector<detail::PendingColumns> groups =
+                    detail::sweepPartition(
+                        bundle,
+                        byThread ? detail::PartitionBy::Thread
+                                 : detail::PartitionBy::Process,
+                        keys, mask, needs);
+                ASSERT_EQ(groups.size(), keys.size());
+                for (std::size_t g = 0; g < keys.size(); ++g) {
+                    detail::finishColumns(needs, groups[g]);
+                    detail::TimelineSpec one;
+                    one.pids = {keys[g].first};
+                    one.hasTid = byThread;
+                    one.tid = byThread ? keys[g].second : 0;
+                    one.cpuMask = mask;
+                    expectColumnsEqual(
+                        groups[g].columns,
+                        detail::buildFilterColumns(bundle, one, needs));
+                }
+            }
+        }
+    }
+}
+
+/**
+ * by=thread and by=process with every cswitch metric, cpu masks and
+ * time windows: the one-pass group-by matches the per-filter
+ * reference at 1/2/7 threads, and a lone group-by query costs one
+ * column pass.
+ */
+TEST(QueryGroupBy, EveryMetricMatchesReferenceInOnePass)
+{
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        TraceBundle bundle = randomBundle(seed + 500);
+        Rng rng(seed + 9);
+        Session session(bundle);
+        for (QueryGroupBy groupBy :
+             {QueryGroupBy::Thread, QueryGroupBy::Process}) {
+            std::vector<Query> batch;
+            for (QueryMetric metric : cswitchMetrics()) {
+                for (int variant = 0; variant < 3; ++variant) {
+                    Query q;
+                    q.metric = metric;
+                    q.groupBy = groupBy;
+                    if (variant == 1)
+                        q.filter.cpuMask = rng.below(255) + 1;
+                    if (variant == 2) {
+                        auto [a, b] = randomWindow(rng, bundle);
+                        q.filter.t0 = a;
+                        q.filter.t1 = b;
+                        q.filter.pids = pidSets()[rng.below(4)];
+                    }
+                    // Each query alone: one partitioned pass.
+                    QueryPlan lone = session.plan({q});
+                    EXPECT_EQ(lone.explain().columnPasses, 1u)
+                        << querySpecString(q);
+                    batch.push_back(q);
+                }
+            }
+            std::vector<QueryResult> reference =
+                legacy::runQueries(bundle, batch);
+            for (unsigned threads : {1u, 2u, 7u}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) +
+                             " threads " + std::to_string(threads));
+                expectResultsEqual(session.query(batch, threads),
+                                   reference);
+            }
+        }
+    }
+}
+
+TEST(QueryGroupBy, ExplainMarksPartitionedFilters)
+{
+    TraceBundle bundle = randomBundle(4);
+    Session session(bundle);
+    QueryPlan plan = session.plan({parseQuerySpec("tlp/by=thread"),
+                                   parseQuerySpec("csrate/by=thread")});
+    const QueryPlanExplain &explain = plan.explain();
+    EXPECT_GT(explain.distinctFilters, 1u);
+    EXPECT_EQ(explain.columnPasses, 1u);
+    for (const QueryPlanPass &pass : explain.passes) {
+        EXPECT_EQ(pass.source, "partitioned:thread");
+        EXPECT_TRUE(pass.buildsTimeline);
+        EXPECT_TRUE(pass.buildsDispatches);
+    }
+    EXPECT_NE(explain.str().find("source=partitioned:thread"),
+              std::string::npos);
+
+    // Thread and process groups are separate partitions; a masked
+    // group-by is a third one.
+    QueryPlan mixed =
+        session.plan({parseQuerySpec("tlp/by=thread"),
+                      parseQuerySpec("busy/by=process"),
+                      parseQuerySpec("busy/by=process/cpus=0,1")});
+    EXPECT_EQ(mixed.explain().columnPasses, 3u);
 }
 
 TEST(QuerySpec, RoundTripsCanonically)

@@ -10,6 +10,19 @@
 #include "apps/harness.hh"
 #include "apps/legacy.hh"
 
+namespace deskpar::apps {
+
+// Print a suite member by its id. Without this, gtest dumps the raw
+// bytes of the entry, which include heap and code addresses, so the
+// test names it lists would change from one build or run to the next.
+void
+PrintTo(const LegacyEntry &entry, std::ostream *os)
+{
+    *os << entry.id;
+}
+
+} // namespace deskpar::apps
+
 namespace {
 
 using namespace deskpar;

@@ -12,8 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -291,6 +297,73 @@ TEST_F(ServerTest, ShutdownOpReleasesWait)
     JsonValue v = envelope(R"({"op":"shutdown","id":1})");
     EXPECT_TRUE(v.boolOr("ok", false));
     waiter.join(); // hangs here if the shutdown op never signals
+}
+
+std::atomic<int> interruptSignals{0};
+
+void
+countInterrupt(int)
+{
+    interruptSignals.fetch_add(1);
+}
+
+/**
+ * A reply written while the peer's receive buffer is full blocks in
+ * send(); a signal delivered then (handler without SA_RESTART) makes
+ * send() fail with EINTR. That must not drop the reply: every byte
+ * still arrives once the peer reads.
+ */
+TEST(ServerWrite, SendAllRetriesInterruptedSends)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    int small = 4096;
+    ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+
+    struct sigaction action = {};
+    struct sigaction previous = {};
+    action.sa_handler = countInterrupt;
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = 0; // no SA_RESTART: blocked sends see EINTR
+    ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+    interruptSignals.store(0);
+
+    std::string payload(1u << 20, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<char>('a' + i % 26);
+    std::atomic<bool> done{false};
+    bool ok = false;
+    std::thread writer([&] {
+        ok = sendAll(fds[0], payload);
+        // EOF for the reader, even when the send gave up early.
+        ::shutdown(fds[0], SHUT_WR);
+        done.store(true);
+    });
+    // The writer fills the socket buffer and blocks; interrupt it.
+    for (int i = 0; i < 20 && !done.load(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ::pthread_kill(writer.native_handle(), SIGUSR1);
+    }
+
+    std::string received;
+    char buf[65536];
+    while (received.size() < payload.size()) {
+        ssize_t n = ::read(fds[1], buf, sizeof buf);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        received.append(buf, static_cast<std::size_t>(n));
+    }
+    writer.join();
+    ::sigaction(SIGUSR1, &previous, nullptr);
+    ::close(fds[0]);
+    ::close(fds[1]);
+
+    EXPECT_GT(interruptSignals.load(), 0);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(received.size(), payload.size());
+    EXPECT_TRUE(received == payload);
 }
 
 } // namespace

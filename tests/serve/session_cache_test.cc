@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/index_cache.hh"
+#include "analysis/query.hh"
 #include "analysis/session_cache.hh"
 #include "trace/etl.hh"
 
@@ -148,6 +149,106 @@ TEST(SessionCache, LiveLeaseSurvivesEviction)
     EXPECT_FALSE(pids.empty());
     auto result = lease.session->concurrency(pids);
     EXPECT_EQ(result.numCpus, 8u);
+}
+
+/** Run one app-filtered query, which leaves its columns in the store. */
+void
+queryOneApp(const SessionCache::Lease &lease)
+{
+    lease.session->query({parseQuerySpec("tlp/app=app-1")}, 1);
+}
+
+TEST(SessionCache, StoreColumnsCountTowardResidentBytes)
+{
+    std::string path = writeTrace("sc_columns.etl");
+    SessionCache cache;
+
+    SessionCache::Lease lease =
+        cache.acquire(path, trace::ParseMode::Strict);
+    std::uint64_t cold = cache.stats().residentBytes;
+    EXPECT_EQ(cold, lease.session->bundle().memoryBytes() +
+                        lease.session->index().columnBytes());
+
+    queryOneApp(lease);
+    cache.acquire(path, trace::ParseMode::Strict); // touch: recharge
+    std::uint64_t grown = cache.stats().residentBytes;
+    EXPECT_GT(grown, cold);
+    EXPECT_EQ(grown, lease.session->bundle().memoryBytes() +
+                         lease.session->index().columnBytes());
+}
+
+TEST(SessionCache, StoreColumnGrowthCanEvictTheLeastRecentlyUsed)
+{
+    std::string a = writeTrace("sc_grow_a.etl");
+    std::string b = writeTrace("sc_grow_b.etl", 1);
+
+    // Cold cost of each entry, from a cache with room for both.
+    std::uint64_t cost = 0;
+    {
+        SessionCache probe;
+        probe.acquire(a, trace::ParseMode::Strict);
+        probe.acquire(b, trace::ParseMode::Strict);
+        cost = probe.stats().residentBytes;
+    }
+
+    // Exactly enough room for both cold entries.
+    SessionCacheOptions options;
+    options.maxBytes = cost;
+    SessionCache cache(options);
+    cache.acquire(b, trace::ParseMode::Strict);
+    SessionCache::Lease lease =
+        cache.acquire(a, trace::ParseMode::Strict);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(cache.stats().entries, 2u);
+
+    // The app query grows a's store; the next touch of a charges it
+    // and evicts b, the least recently used entry.
+    queryOneApp(lease);
+    SessionCache::Lease again =
+        cache.acquire(a, trace::ParseMode::Strict);
+    EXPECT_TRUE(again.warm);
+    SessionCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_FALSE(cache.acquire(b, trace::ParseMode::Strict).warm);
+}
+
+TEST(SessionCache, HotEntryStoreGrowthPastBudgetStaysResident)
+{
+    std::string a = writeTrace("sc_hot_a.etl");
+    std::string b = writeTrace("sc_hot_b.etl", 1);
+
+    // A budget of exactly a's cold cost.
+    std::uint64_t cold = 0;
+    {
+        SessionCache probe;
+        probe.acquire(a, trace::ParseMode::Strict);
+        cold = probe.stats().residentBytes;
+    }
+    SessionCacheOptions options;
+    options.maxBytes = cold;
+    SessionCache cache(options);
+    SessionCache::Lease lease =
+        cache.acquire(a, trace::ParseMode::Strict);
+
+    // Each app filter adds a pid set to the store. The touched entry
+    // is never its own victim, so it stays resident over budget.
+    for (int app = 0; app < 6; ++app) {
+        lease.session->query(
+            {parseQuerySpec("tlp/app=app-" + std::to_string(app))}, 1);
+        EXPECT_TRUE(cache.acquire(a, trace::ParseMode::Strict).warm);
+    }
+    SessionCacheStats stats = cache.stats();
+    EXPECT_GT(stats.residentBytes, options.maxBytes);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.entries, 1u);
+
+    // The next trace acquired makes it the first victim.
+    cache.acquire(b, trace::ParseMode::Strict);
+    stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_FALSE(cache.acquire(a, trace::ParseMode::Strict).warm);
 }
 
 TEST(SessionCache, RacingAcquiresPerformOneIngest)
