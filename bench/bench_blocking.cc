@@ -4,8 +4,8 @@
  * serialization table. Part one times blocking::analyze two ways
  * over one recorded oversubscribed trace (the GPU-less miner, whose
  * ready queue is always deep) — the sequential reference
- * (blocking::legacy::analyze) and the fused path (per-thread folds
- * fanned out) — verifies the reports are EXPECT_EQ-identical at
+ * (blocking::legacy::analyze) and the fused path (the same sweep over
+ * dense thread ids) — verifies the reports are EXPECT_EQ-identical at
  * 1/2/7 worker threads, and records both wall times as
  * micro_blocking_* bench records for the bench_compare gate. Part
  * two runs all 30 applications and classifies each as

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "analysis/concurrency_timeline.hh"
 #include "analysis/session.hh"
 #include "analysis/trace_index.hh"
 #include "obs/obs.hh"
-#include "sim/parallel.hh"
 
 namespace deskpar::analysis::blocking {
 
@@ -37,22 +39,15 @@ struct ChainState
 };
 
 /**
- * Everything one deterministic pass over the cswitch stream yields.
- * The per-thread wait/run folds are *not* done here — the wait
- * samples stay a flat stream-ordered vector so the two analyze()
- * flavors can fold them differently (inline maps vs parallelFor)
- * and still land on identical integer sums.
+ * The stream-wide totals and extent either sweep hands to
+ * finishReport.
  */
-struct SweepResult
+struct StreamTotals
 {
-    std::map<Key, std::uint64_t> runNs;
-    std::map<Key, std::uint64_t> blockedNs;
-    std::map<std::pair<Key, Key>, EdgeAgg> edges;
-    std::map<Key, ChainState> chains;
-    /** (thread, wait ns) per target switch-in, stream order. */
-    std::vector<std::pair<Key, std::uint64_t>> waitSamples;
     std::uint64_t totalRunNs = 0;
     std::uint64_t totalWaitNs = 0;
+    /** Target switch-ins. */
+    std::uint64_t dispatches = 0;
     /**
      * Observed stream extent and CPU population — the fallback
      * window when the bundle header is empty (bare CPU-Usage CSVs
@@ -62,13 +57,42 @@ struct SweepResult
     SimTime maxTs = 0;
     std::size_t cpusSeen = 0;
     bool sawEvents = false;
+
+    void
+    observe(SimTime ts)
+    {
+        if (!sawEvents) {
+            minTs = ts;
+            maxTs = ts;
+            sawEvents = true;
+        } else {
+            minTs = std::min(minTs, ts);
+            maxTs = std::max(maxTs, ts);
+        }
+    }
 };
 
 /**
- * The chain sweep: a per-CPU running-thread state machine over the
- * cswitch stream. Both analyze() flavors run this exact sequential
- * code — the serialization chain is a DP whose order matters, so it
- * cannot fan out; only the per-thread folds afterwards can.
+ * Everything one pass of the reference sweep yields, in ordered maps
+ * keyed by (pid, tid). The per-thread wait folds are not done here:
+ * the wait samples stay a flat stream-ordered vector that
+ * legacy::analyze folds afterwards.
+ */
+struct SweepResult : StreamTotals
+{
+    std::map<Key, std::uint64_t> runNs;
+    std::map<Key, std::uint64_t> blockedNs;
+    std::map<std::pair<Key, Key>, EdgeAgg> edges;
+    std::map<Key, ChainState> chains;
+    /** (thread, wait ns) per target switch-in, stream order. */
+    std::vector<std::pair<Key, std::uint64_t>> waitSamples;
+};
+
+/**
+ * The reference chain sweep: a per-CPU running-thread state machine
+ * over the cswitch stream, every per-thread aggregate in an ordered
+ * map. The serialization chain is a DP whose order matters, so it is
+ * sequential; DenseSweep below is the same machine over dense ids.
  */
 void
 sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
@@ -108,14 +132,7 @@ sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
     };
 
     for (const auto &e : bundle.cswitches) {
-        if (!r.sawEvents) {
-            r.minTs = e.timestamp;
-            r.maxTs = e.timestamp;
-            r.sawEvents = true;
-        } else {
-            r.minTs = std::min(r.minTs, e.timestamp);
-            r.maxTs = std::max(r.maxTs, e.timestamp);
-        }
+        r.observe(e.timestamp);
         Occupant &occ = cpus[e.cpu];
         closeSegment(occ, e.timestamp);
 
@@ -172,12 +189,15 @@ threadName(const trace::TraceBundle &bundle, Pid pid)
 }
 
 /**
- * Sorting, totals, edge flattening, and critical-path extraction —
- * identical in both flavors, and pure integer/string work.
+ * The window, totals and sorted row and edge lists of a report —
+ * shared by both sweeps, and pure integer/string work. Rows and edges
+ * are sorted on total orders, so the order they arrive in is
+ * irrelevant.
  */
 void
-finalize(const trace::TraceBundle &bundle, SweepResult &r,
-         std::vector<ThreadBlocking> rows, BlockingReport &report)
+finishReport(const trace::TraceBundle &bundle, const StreamTotals &r,
+             std::vector<ThreadBlocking> rows,
+             std::vector<WakeupEdge> edges, BlockingReport &report)
 {
     // Headerless bundles (bare CPU-Usage CSVs) get the observed
     // stream extent so the wait-TLP and serial-fraction ratios stay
@@ -194,7 +214,7 @@ finalize(const trace::TraceBundle &bundle, SweepResult &r,
                          : static_cast<unsigned>(r.cpusSeen);
     report.totalRunNs = r.totalRunNs;
     report.totalWaitNs = r.totalWaitNs;
-    report.dispatches = r.waitSamples.size();
+    report.dispatches = r.dispatches;
 
     for (ThreadBlocking &row : rows)
         row.name = threadName(bundle, row.pid);
@@ -208,18 +228,7 @@ finalize(const trace::TraceBundle &bundle, SweepResult &r,
               });
     report.threads = std::move(rows);
 
-    report.edges.reserve(r.edges.size());
-    for (const auto &[key, agg] : r.edges) {
-        WakeupEdge edge;
-        edge.fromPid = key.first.first;
-        edge.fromTid = key.first.second;
-        edge.toPid = key.second.first;
-        edge.toTid = key.second.second;
-        edge.count = agg.count;
-        edge.waitNs = agg.waitNs;
-        report.edges.push_back(edge);
-    }
-    std::sort(report.edges.begin(), report.edges.end(),
+    std::sort(edges.begin(), edges.end(),
               [](const WakeupEdge &a, const WakeupEdge &b) {
                   if (a.waitNs != b.waitNs)
                       return a.waitNs > b.waitNs;
@@ -228,12 +237,35 @@ finalize(const trace::TraceBundle &bundle, SweepResult &r,
                          std::tie(b.fromPid, b.fromTid, b.toPid,
                                   b.toTid);
               });
+    report.edges = std::move(edges);
+}
 
-    // Critical path: the thread whose chain is longest; ties resolve
-    // to the lowest (pid, tid) by map order. The predecessor
-    // pointers summarize a DP whose state mutates as the sweep
-    // advances, so the backwalk is a bounded summary, not an exact
-    // segment list.
+WakeupEdge
+makeEdge(Key from, Key to, const EdgeAgg &agg)
+{
+    WakeupEdge edge;
+    edge.fromPid = from.first;
+    edge.fromTid = from.second;
+    edge.toPid = to.first;
+    edge.toTid = to.second;
+    edge.count = agg.count;
+    edge.waitNs = agg.waitNs;
+    return edge;
+}
+
+/** The critical path is the chain backwalk, capped at this many hops. */
+constexpr std::size_t kMaxPathHops = 64;
+
+/**
+ * Critical path of the reference sweep: the thread whose chain is
+ * longest; ties resolve to the lowest (pid, tid) by map order. The
+ * predecessor pointers summarize a DP whose state mutates as the
+ * sweep advances, so the backwalk is a bounded summary, not an exact
+ * segment list.
+ */
+void
+legacyCriticalPath(const SweepResult &r, BlockingReport &report)
+{
     Key best{0, 0};
     const ChainState *bestChain = nullptr;
     for (const auto &[key, chain] : r.chains) {
@@ -247,7 +279,7 @@ finalize(const trace::TraceBundle &bundle, SweepResult &r,
         report.criticalPathSwitches = bestChain->links;
         std::vector<CriticalPathHop> hops;
         Key cur = best;
-        for (std::size_t i = 0; i < 64; ++i) {
+        for (std::size_t i = 0; i < kMaxPathHops; ++i) {
             hops.push_back(CriticalPathHop{cur.first, cur.second});
             auto it = r.chains.find(cur);
             if (it == r.chains.end() || !it->second.hasPrev)
@@ -266,7 +298,7 @@ lookupNs(const std::map<Key, std::uint64_t> &map, Key key)
     return it == map.end() ? 0 : it->second;
 }
 
-/** Sorted distinct thread keys the report must have rows for. */
+/** Sorted distinct thread keys the reference report has rows for. */
 std::vector<Key>
 threadKeys(const SweepResult &r)
 {
@@ -281,6 +313,259 @@ threadKeys(const SweepResult &r)
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     return keys;
 }
+
+constexpr std::uint32_t kNone = ~static_cast<std::uint32_t>(0);
+
+/**
+ * CPU ids below this live in a flat vector; larger ones go to an
+ * ordered map, so a forged CPU id costs one map node, not a vector
+ * sized by the id.
+ */
+constexpr trace::CpuId kMaxFlatCpus = 1024;
+
+std::uint64_t
+packPair(std::uint32_t hi, std::uint32_t lo)
+{
+    return (static_cast<std::uint64_t>(hi) << 32) | lo;
+}
+
+/**
+ * The reference sweep's state machine over dense thread ids. Each
+ * target (pid, tid) is interned once, on the switch that first names
+ * it; every per-thread fold then lives in one vector slot, the
+ * per-CPU occupants in a flat vector, and the wakeup edges in a
+ * vector keyed by the packed pair of dense ids. A thread is interned
+ * exactly when the reference sweep would give it a row (a target
+ * switch-in, or a target predecessor of one), and every fold is an
+ * integer sum or maximum, so the report is equal to the reference's
+ * once finish() sorts the ids by (pid, tid).
+ */
+class DenseSweep
+{
+  public:
+    DenseSweep(const trace::TraceBundle &bundle,
+               const trace::PidSet &pids)
+        : bundle_(bundle), pids_(pids),
+          flat_(std::min(bundle.numLogicalCpus, kMaxFlatCpus))
+    {
+    }
+
+    void
+    run()
+    {
+        for (const auto &e : bundle_.cswitches)
+            step(e);
+        // Threads still on a CPU when the trace stops: their final
+        // segment runs to the observation-window end (the header's
+        // if it has one, else the last timestamp the stream showed).
+        SimTime stop = std::max(bundle_.stopTime, totals_.maxTs);
+        for (const Occupant &occ : flat_) {
+            closeSegment(occ, stop);
+            totals_.cpusSeen += occ.seen ? 1 : 0;
+        }
+        for (const auto &[cpu, occ] : overflow_)
+            closeSegment(occ, stop);
+        totals_.cpusSeen += overflow_.size();
+    }
+
+    BlockingReport
+    finish() const
+    {
+        // Rows and the critical-path tie-break follow (pid, tid).
+        std::vector<std::uint32_t> order(threads_.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(),
+                  [this](std::uint32_t a, std::uint32_t b) {
+                      return threads_[a].key < threads_[b].key;
+                  });
+
+        std::vector<ThreadBlocking> rows;
+        rows.reserve(order.size());
+        for (std::uint32_t id : order) {
+            const Thread &t = threads_[id];
+            ThreadBlocking row;
+            row.pid = t.key.first;
+            row.tid = t.key.second;
+            row.runNs = t.runNs;
+            row.waitNs = t.waitNs;
+            row.maxWaitNs = t.maxWaitNs;
+            row.blockedNs = t.blockedNs;
+            row.dispatches = t.dispatches;
+            rows.push_back(std::move(row));
+        }
+        std::vector<WakeupEdge> edges;
+        edges.reserve(edges_.size());
+        for (const Edge &e : edges_)
+            edges.push_back(makeEdge(threads_[e.from].key,
+                                     threads_[e.to].key, e.agg));
+
+        BlockingReport report;
+        finishReport(bundle_, totals_, std::move(rows),
+                     std::move(edges), report);
+
+        // The longest chain; ties resolve to the lowest (pid, tid),
+        // as the reference's map order does.
+        std::uint32_t best = kNone;
+        for (std::uint32_t id : order) {
+            if (best == kNone ||
+                threads_[id].chainNs > threads_[best].chainNs)
+                best = id;
+        }
+        if (best != kNone && threads_[best].chainNs > 0) {
+            report.criticalPathNs = threads_[best].chainNs;
+            report.criticalPathSwitches = threads_[best].links;
+            std::vector<CriticalPathHop> hops;
+            for (std::uint32_t cur = best;
+                 cur != kNone && hops.size() < kMaxPathHops;
+                 cur = threads_[cur].prev)
+                hops.push_back(CriticalPathHop{threads_[cur].key.first,
+                                               threads_[cur].key.second});
+            std::reverse(hops.begin(), hops.end());
+            report.criticalPath = std::move(hops);
+        }
+        return report;
+    }
+
+  private:
+    struct Thread
+    {
+        Key key;
+        std::uint64_t runNs = 0;
+        std::uint64_t blockedNs = 0;
+        std::uint64_t waitNs = 0;
+        std::uint64_t maxWaitNs = 0;
+        std::uint64_t dispatches = 0;
+        std::uint64_t chainNs = 0;
+        std::uint64_t links = 0;
+        std::uint32_t prev = kNone;
+    };
+
+    struct Edge
+    {
+        std::uint32_t from;
+        std::uint32_t to;
+        EdgeAgg agg;
+    };
+
+    /** A CPU's running target thread (kNone: idle or foreign). */
+    struct Occupant
+    {
+        std::uint32_t thread = kNone;
+        bool seen = false;
+        SimTime since = 0;
+    };
+
+    void
+    step(const trace::CSwitchEvent &e)
+    {
+        totals_.observe(e.timestamp);
+        Occupant &occ = cpu(e.cpu);
+        occ.seen = true;
+        closeSegment(occ, e.timestamp);
+
+        std::uint32_t to = threadOf(e.newPid, e.newTid);
+        if (to != kNone) {
+            // Readers clamp inverted ready times; clamp again so a
+            // hand-built bundle cannot wrap the wait.
+            SimTime ready = std::min(e.readyTime, e.timestamp);
+            std::uint64_t wait = e.timestamp - ready;
+            ++totals_.dispatches;
+            totals_.totalWaitNs += wait;
+            // Intern the predecessor before taking references: it
+            // may grow threads_.
+            std::uint32_t from = threadOf(e.oldPid, e.oldTid);
+            Thread &dst = threads_[to];
+            dst.waitNs += wait;
+            dst.maxWaitNs = std::max(dst.maxWaitNs, wait);
+            ++dst.dispatches;
+            if (from != kNone) {
+                // The wakeup edge: old held this CPU for the tail of
+                // the wait, so the chain may continue through it.
+                EdgeAgg &edge = edges_[edgeOf(from, to)].agg;
+                ++edge.count;
+                edge.waitNs += wait;
+                Thread &src = threads_[from];
+                src.blockedNs += wait;
+                if (src.chainNs > dst.chainNs) {
+                    dst.chainNs = src.chainNs;
+                    dst.links = src.links + 1;
+                    dst.prev = from;
+                }
+            }
+        }
+        occ.thread = to;
+        occ.since = e.timestamp;
+    }
+
+    void
+    closeSegment(const Occupant &occ, SimTime now)
+    {
+        // Disordered streams can invert a segment; drop it rather
+        // than wrap the unsigned subtraction.
+        if (occ.thread == kNone || now <= occ.since)
+            return;
+        std::uint64_t seg = now - occ.since;
+        Thread &t = threads_[occ.thread];
+        t.runNs += seg;
+        t.chainNs += seg;
+        totals_.totalRunNs += seg;
+    }
+
+    Occupant &
+    cpu(trace::CpuId id)
+    {
+        if (id >= kMaxFlatCpus)
+            return overflow_[id];
+        if (id >= flat_.size())
+            flat_.resize(static_cast<std::size_t>(id) + 1);
+        return flat_[id];
+    }
+
+    /** Dense id of a target thread; kNone for idle or foreign pids. */
+    std::uint32_t
+    threadOf(Pid pid, Tid tid)
+    {
+        if (pid == 0)
+            return kNone;
+        return threadMemo_.get(pid, tid, [&] {
+            if (!pids_.empty() && pids_.count(pid) == 0)
+                return kNone;
+            auto [it, fresh] = threadIds_.try_emplace(
+                packPair(pid, tid),
+                static_cast<std::uint32_t>(threads_.size()));
+            if (fresh)
+                threads_.push_back(Thread{Key{pid, tid}});
+            return it->second;
+        });
+    }
+
+    std::uint32_t
+    edgeOf(std::uint32_t from, std::uint32_t to)
+    {
+        // The memo's zero key marks a free slot, so offset from by 1.
+        return edgeMemo_.get(from + 1, to, [&] {
+            auto [it, fresh] = edgeIds_.try_emplace(
+                packPair(from, to),
+                static_cast<std::uint32_t>(edges_.size()));
+            if (fresh)
+                edges_.push_back(Edge{from, to, EdgeAgg{}});
+            return it->second;
+        });
+    }
+
+    const trace::TraceBundle &bundle_;
+    const trace::PidSet &pids_;
+    StreamTotals totals_;
+    std::vector<Thread> threads_;
+    std::unordered_map<std::uint64_t, std::uint32_t> threadIds_;
+    detail::TargetMemo threadMemo_;
+    std::vector<Edge> edges_;
+    std::unordered_map<std::uint64_t, std::uint32_t> edgeIds_;
+    detail::TargetMemo edgeMemo_;
+    std::vector<Occupant> flat_;
+    /** CPU ids at or past kMaxFlatCpus. */
+    std::map<trace::CpuId, Occupant> overflow_;
+};
 
 } // namespace
 
@@ -350,9 +635,15 @@ analyze(const trace::TraceBundle &bundle, const trace::PidSet &pids)
         }
         rows.push_back(std::move(row));
     }
+    std::vector<WakeupEdge> edges;
+    edges.reserve(r.edges.size());
+    for (const auto &[key, agg] : r.edges)
+        edges.push_back(makeEdge(key.first, key.second, agg));
 
+    r.dispatches = r.waitSamples.size();
     BlockingReport report;
-    finalize(bundle, r, std::move(rows), report);
+    finishReport(bundle, r, std::move(rows), std::move(edges), report);
+    legacyCriticalPath(r, report);
     return report;
 }
 
@@ -362,44 +653,16 @@ BlockingReport
 analyze(const TraceIndex &index, const trace::PidSet &pids,
         unsigned threads)
 {
+    // The dense sweep is sequential and already a fraction of a
+    // decode; every fold is an integer sum, so the report does not
+    // depend on @p threads.
+    (void)threads;
     const trace::TraceBundle &bundle = index.bundle();
     obs::Span span("blocking.analyze", obs::SpanKind::Query,
                    bundle.cswitches.size());
-
-    SweepResult r;
-    sweep(bundle, pids, r);
-
-    // Bucket the stream-ordered wait samples per thread (sequential,
-    // cheap), then fold every thread's bucket concurrently. Each
-    // task owns its row outright, and the per-thread sample order is
-    // the stream order legacy folds in — integer sums, so any
-    // DESKPAR_JOBS lands on the identical report.
-    std::vector<Key> keys = threadKeys(r);
-    std::map<Key, std::size_t> indexOf;
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        indexOf.emplace(keys[i], i);
-    std::vector<std::vector<std::uint64_t>> samples(keys.size());
-    for (const auto &[key, wait] : r.waitSamples)
-        samples[indexOf.find(key)->second].push_back(wait);
-
-    std::vector<ThreadBlocking> rows(keys.size());
-    unsigned jobs = sim::resolveJobs(threads);
-    sim::parallelFor(jobs, keys.size(), [&](std::size_t i) {
-        ThreadBlocking &row = rows[i];
-        row.pid = keys[i].first;
-        row.tid = keys[i].second;
-        row.runNs = lookupNs(r.runNs, keys[i]);
-        row.blockedNs = lookupNs(r.blockedNs, keys[i]);
-        for (std::uint64_t wait : samples[i]) {
-            row.waitNs += wait;
-            row.maxWaitNs = std::max(row.maxWaitNs, wait);
-            ++row.dispatches;
-        }
-    });
-
-    BlockingReport report;
-    finalize(bundle, r, std::move(rows), report);
-    return report;
+    DenseSweep sweep(bundle, pids);
+    sweep.run();
+    return sweep.finish();
 }
 
 BlockingReport

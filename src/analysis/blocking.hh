@@ -29,9 +29,9 @@
  *    the wall clock one such chain alone covers.
  *
  * Everything is summed in integer nanoseconds, so the fused path
- * (blocking::analyze over a Session/TraceIndex, per-thread folds
- * fanned out with sim::parallelFor) is bit-identical to the
- * sequential reference (blocking::legacy::analyze) at any
+ * (blocking::analyze over a Session/TraceIndex: the same sweep over
+ * dense thread ids, every per-thread fold inline) is bit-identical to
+ * the map-based reference (blocking::legacy::analyze) at any
  * DESKPAR_JOBS — the differential tests assert EXPECT_EQ on whole
  * reports.
  *
@@ -171,10 +171,12 @@ BlockingReport analyze(const trace::TraceBundle &bundle,
 
 /**
  * The fused path: the same deterministic chain sweep over the
- * index's bundle, but per-thread wait/run folds deferred to a
- * sim::parallelFor over the discovered threads — disjoint writes
- * into pre-sized rows, integer sums, so the report is EXPECT_EQ-
- * identical to legacy::analyze at any @p threads (0 = DESKPAR_JOBS).
+ * index's bundle, with each target (pid, tid) interned once to a
+ * dense id so every per-thread fold, CPU occupant and wakeup edge is
+ * a vector slot instead of an ordered-map node. The folds are integer
+ * sums and maxima done inline, so the report is EXPECT_EQ-identical
+ * to legacy::analyze; the sweep is sequential, so @p threads (kept
+ * for the callers' job plumbing) does not change it.
  */
 BlockingReport analyze(const TraceIndex &index,
                        const trace::PidSet &pids,

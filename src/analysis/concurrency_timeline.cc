@@ -31,9 +31,19 @@ sweepGroups(const trace::TraceBundle &bundle, CpuMask mask,
             std::size_t groupCount)
 {
     std::vector<PendingColumns> groups(groupCount);
-    // A lone group gets at most one delta per switch.
-    if (groupCount == 1)
-        groups[0].deltas.reserve(bundle.cswitches.size());
+    // A lone group gets at most one delta, dispatch and wait per
+    // switch; finishColumns returns a narrow filter's surplus.
+    if (groupCount == 1) {
+        const std::size_t n = bundle.cswitches.size();
+        PendingColumns &lone = groups[0];
+        lone.deltas.reserve(n);
+        if (needs.dispatches)
+            lone.columns.dispatches.reserve(n);
+        if (needs.waits) {
+            lone.columns.waits.begin.reserve(n);
+            lone.columns.waits.end.reserve(n);
+        }
+    }
     const unsigned cutoff = bundle.numLogicalCpus;
     std::vector<std::uint32_t> current(cutoff, kNoGroup);
     std::vector<SimTime> burstStart;
@@ -113,6 +123,19 @@ vectorBytes(const std::vector<T> &v)
     return v.capacity() * sizeof(T);
 }
 
+/**
+ * Give back a reserve that overshot the column by more than vector
+ * growth would have, so a narrow filter's columns cost (and report
+ * through FilterColumns::bytes) about what they hold.
+ */
+template <typename T>
+void
+shrinkSurplus(std::vector<T> &v)
+{
+    if (v.capacity() / 2 > v.size())
+        v.shrink_to_fit();
+}
+
 } // namespace
 
 std::uint64_t
@@ -171,29 +194,39 @@ void
 finishColumns(const ColumnNeeds &needs, PendingColumns &pending)
 {
     FilterColumns &cols = pending.columns;
-    if (needs.dispatches)
-        std::sort(cols.dispatches.begin(), cols.dispatches.end());
+    // An in-order stream emits dispatches and waits in timestamp
+    // order, so both sorts below would be the identity permutation.
+    if (needs.dispatches) {
+        if (!pending.sorted)
+            std::sort(cols.dispatches.begin(), cols.dispatches.end());
+        shrinkSurplus(cols.dispatches);
+    }
     if (needs.waits) {
-        // Sort by end (already the stream order for a sorted bundle;
-        // a stable sort keeps equal-end rows paired) and compute the
-        // suffix-minimum begin column.
+        // Sort by end (a stable sort keeps equal-end rows paired) and
+        // compute the suffix-minimum begin column.
         WaitColumns &waits = cols.waits;
         const std::size_t n = waits.end.size();
-        std::vector<std::pair<SimTime, SimTime>> rows;
-        rows.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            rows.emplace_back(waits.end[i], waits.begin[i]);
-        std::stable_sort(rows.begin(), rows.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
-                         });
-        waits.minBegin.assign(n, 0);
+        if (!pending.sorted) {
+            std::vector<std::pair<SimTime, SimTime>> rows;
+            rows.reserve(n);
+            for (std::size_t i = 0; i < n; ++i)
+                rows.emplace_back(waits.end[i], waits.begin[i]);
+            std::stable_sort(rows.begin(), rows.end(),
+                             [](const auto &a, const auto &b) {
+                                 return a.first < b.first;
+                             });
+            for (std::size_t i = 0; i < n; ++i) {
+                waits.end[i] = rows[i].first;
+                waits.begin[i] = rows[i].second;
+            }
+        }
+        shrinkSurplus(waits.begin);
+        shrinkSurplus(waits.end);
+        waits.minBegin.resize(n);
         SimTime mn = 0;
         for (std::size_t i = n; i-- > 0;) {
-            waits.end[i] = rows[i].first;
-            waits.begin[i] = rows[i].second;
-            mn = i + 1 == n ? rows[i].second
-                            : std::min(mn, rows[i].second);
+            mn = i + 1 == n ? waits.begin[i]
+                            : std::min(mn, waits.begin[i]);
             waits.minBegin[i] = mn;
         }
     }

@@ -18,13 +18,10 @@
  * offending record index as a structured TraceParseError.
  *
  * The production readers — decodeEtl(ByteSpan) and the path entry
- * points, which memory-map the file — decode well-framed sections in
- * parallel: a serial pre-scan walks the length framing, then the
- * section payloads decode concurrently and merge in file order. Any
- * framing irregularity falls back to the serial decoder, so bundles,
- * reports, and error payloads are byte-identical to the legacy
- * istream readers (which stay serial as the differential reference)
- * at every thread count. See DESIGN.md section 11.
+ * points, which memory-map the file — and the istream readers share
+ * one serial section decoder, so their bundles, reports and error
+ * payloads are byte-identical; ParseOptions::threads does not apply
+ * to .etl. See DESIGN.md section 11.
  */
 
 #ifndef DESKPAR_TRACE_ETL_HH
@@ -71,8 +68,8 @@ TraceBundle readEtl(const std::string &path,
 
 /**
  * Decode a whole .etl image held in memory (usually a MappedFile's
- * bytes), section-parallel when the framing allows. Same recoverable
- * contract as readEtl(istream) and byte-identical output.
+ * bytes) without copying it. Same recoverable contract as
+ * readEtl(istream) and byte-identical output.
  */
 TraceBundle decodeEtl(io::ByteSpan data, const ParseOptions &options,
                       IngestReport &report);

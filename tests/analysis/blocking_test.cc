@@ -8,19 +8,27 @@
  * semantics satellite 4 asks for: self-wakeups, cross-CPU dispatch
  * attribution, readyTime == timestamp zero waits, and idle (pid 0)
  * transitions. CriticalPath* covers the chain DP, tie-breaking, and
- * the 64-hop backwalk cap.
+ * the 64-hop backwalk cap. The BlockingDiff edge cases aim at the
+ * fused path's dense ids: disordered streams, CPU ids at and past the
+ * header's count, pid/tid extremes, enough threads to collide in the
+ * 256-slot memo, and fault-corpus survivors.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/blocking.hh"
 #include "analysis/session.hh"
 #include "sim/types.hh"
+#include "trace/corrupt.hh"
 #include "trace/diagnostic.hh"
+#include "trace/etl.hh"
 
 namespace {
 
@@ -148,6 +156,28 @@ findEdge(const BlockingReport &report, Pid fromPid, Tid fromTid,
     return nullptr;
 }
 
+/**
+ * The fused path at 1, 2 and 7 threads must equal the reference on
+ * @p bundle: whole reports and both renderings.
+ */
+void
+expectFusedMatchesReference(const TraceBundle &bundle,
+                            const trace::PidSet &pids)
+{
+    BlockingReport reference = blocking::legacy::analyze(bundle, pids);
+    Session session(bundle);
+    for (unsigned threads : {1u, 2u, 7u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        BlockingReport fused =
+            blocking::analyze(session.index(), pids, threads);
+        EXPECT_EQ(fused, reference);
+        EXPECT_EQ(blocking::renderReport(fused),
+                  blocking::renderReport(reference));
+        EXPECT_EQ(blocking::renderReportJson(fused),
+                  blocking::renderReportJson(reference));
+    }
+}
+
 TEST(BlockingDiff, RandomBundlesMatchReferenceAtEveryThreadCount)
 {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
@@ -188,16 +218,148 @@ TEST(BlockingDiff, HeaderlessBundlesMatchReference)
     // fall back to the observed stream extent identically.
     trace::CollectingDiagnosticSink sink;
     trace::ScopedDiagnosticSink scoped(sink);
+    for (std::uint64_t seed : {7u, 300u, 301u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        TraceBundle bundle = randomBundle(seed);
+        bundle.startTime = 0;
+        bundle.stopTime = 0;
+        bundle.numLogicalCpus = 0;
+        for (const trace::PidSet &pids : pidSets())
+            expectFusedMatchesReference(bundle, pids);
+    }
+}
 
-    TraceBundle bundle = randomBundle(7);
-    bundle.startTime = 0;
-    bundle.stopTime = 0;
-    bundle.numLogicalCpus = 0;
-    Session session(bundle);
+TEST(BlockingDiff, DisorderedStreamsMatchReference)
+{
+    // Shuffled timestamps invert run segments; both paths must drop
+    // the same ones and derive the same window.
+    trace::CollectingDiagnosticSink sink;
+    trace::ScopedDiagnosticSink scoped(sink);
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        TraceBundle bundle = randomBundle(100 + seed);
+        Rng rng(seed);
+        auto &events = bundle.cswitches;
+        for (std::size_t i = events.size(); i > 1; --i)
+            std::swap(events[i - 1].timestamp,
+                      events[rng.below(i)].timestamp);
+        for (const trace::PidSet &pids : pidSets())
+            expectFusedMatchesReference(bundle, pids);
+        bundle.stopTime = 0; // headerless and disordered
+        bundle.numLogicalCpus = 0;
+        expectFusedMatchesReference(bundle, {});
+    }
+}
+
+TEST(BlockingDiff, CpuIdsAtAndPastHeaderCountMatchReference)
+{
+    // CPU ids the header does not admit, up to the largest id a
+    // reader can produce: the fused path keeps them in its overflow
+    // map, so a forged id allocates nothing per id.
+    trace::CollectingDiagnosticSink sink;
+    trace::ScopedDiagnosticSink scoped(sink);
+    static const trace::CpuId kHostile[] = {
+        8, 9, 63, 64, 1023, 1024, 5000, 0x7FFFFFFFu, 0xFFFFFFFEu,
+        0xFFFFFFFFu};
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        TraceBundle bundle = randomBundle(200 + seed);
+        Rng rng(seed);
+        for (auto &e : bundle.cswitches) {
+            if (rng.below(3) == 0)
+                e.cpu = kHostile[rng.below(std::size(kHostile))];
+        }
+        for (const trace::PidSet &pids : pidSets())
+            expectFusedMatchesReference(bundle, pids);
+        bundle.stopTime = 0;
+        bundle.numLogicalCpus = 0; // the CPU count comes from the stream
+        expectFusedMatchesReference(bundle, {});
+    }
+}
+
+TEST(BlockingDiff, PidTidExtremesMatchReference)
+{
+    // Keys at the ends of both 32-bit ranges, where a packed (pid,
+    // tid) key or a dense id offset could wrap.
+    static const Pid kPids[] = {0, 1, 0x7FFFFFFFu, 0xFFFFFFFEu,
+                                0xFFFFFFFFu};
+    static const Tid kTids[] = {0, 1, 0xFFFFFFFEu, 0xFFFFFFFFu};
+    TraceBundle bundle = shell(kTraceLen, 4);
+    bundle.processNames = {{0xFFFFFFFFu, "max"}, {1, "one"}};
+    Rng rng(5);
+    sim::SimTime t = 0;
+    for (std::size_t i = 0; i < 600; ++i) {
+        t += rng.below(2 * kTraceLen / 600);
+        Pid oldPid = kPids[rng.below(std::size(kPids))];
+        Pid newPid = kPids[rng.below(std::size(kPids))];
+        sw(bundle, t, static_cast<unsigned>(rng.below(4)), oldPid,
+           kTids[rng.below(std::size(kTids))], newPid,
+           kTids[rng.below(std::size(kTids))],
+           t > 500 ? t - rng.below(500) : t);
+    }
+    for (const trace::PidSet &pids :
+         {trace::PidSet{}, trace::PidSet{0xFFFFFFFFu},
+          trace::PidSet{1, 0xFFFFFFFEu}})
+        expectFusedMatchesReference(bundle, pids);
+}
+
+TEST(BlockingDiff, ManyThreadsCollideInTheMemoAndMatchReference)
+{
+    // 900 distinct threads over 16 CPUs: far more keys than the
+    // 256-slot memo holds, so lookups collide and evict constantly.
+    TraceBundle bundle = shell(kTraceLen, 16);
+    Rng rng(17);
+    sim::SimTime t = 0;
+    auto pick = [&rng](Pid &pid, Tid &tid) {
+        std::uint64_t k = rng.below(901);
+        pid = k == 900 ? 0 : static_cast<Pid>(10 + k % 30);
+        tid = pid == 0 ? 0 : static_cast<Tid>(1000 + k);
+    };
+    for (std::size_t i = 0; i < 20000; ++i) {
+        t += rng.below(2 * kTraceLen / 20000);
+        Pid oldPid, newPid;
+        Tid oldTid, newTid;
+        pick(oldPid, oldTid);
+        pick(newPid, newTid);
+        sw(bundle, t, static_cast<unsigned>(rng.below(16)), oldPid,
+           oldTid, newPid, newTid, t > 2000 ? t - rng.below(2000) : t);
+    }
     BlockingReport reference = blocking::legacy::analyze(bundle, {});
-    for (unsigned threads : {1u, 2u, 7u})
-        EXPECT_EQ(blocking::analyze(session.index(), {}, threads),
-                  reference);
+    EXPECT_GT(reference.threads.size(), 256u);
+    EXPECT_GT(reference.edges.size(), 256u);
+    for (const trace::PidSet &pids :
+         {trace::PidSet{}, trace::PidSet{10, 11, 12},
+          trace::PidSet{39}})
+        expectFusedMatchesReference(bundle, pids);
+}
+
+TEST(BlockingDiff, FaultCorpusSurvivorsMatchReference)
+{
+    TraceBundle original = randomBundle(99, 600);
+    std::ostringstream serialized;
+    trace::writeEtl(original, serialized);
+    trace::FaultInjector injector(serialized.str(), 0xb10cull);
+
+    trace::ParseOptions options;
+    options.mode = trace::ParseMode::Lenient;
+    options.source = "corpus";
+    trace::CollectingDiagnosticSink sink;
+    trace::ScopedDiagnosticSink scoped(sink);
+
+    std::size_t compared = 0;
+    for (std::size_t i = 0; i < 96; ++i) {
+        std::istringstream in(injector.mutant(i));
+        trace::IngestReport report;
+        TraceBundle mutant = trace::readEtl(in, options, report);
+        if (mutant.cswitches.empty())
+            continue;
+        ++compared;
+        SCOPED_TRACE("mutant " + std::to_string(i) + ": " +
+                     injector.mutationFor(i).describe());
+        expectFusedMatchesReference(mutant, {});
+        expectFusedMatchesReference(mutant, {5, 6});
+    }
+    EXPECT_GT(compared, 10u);
 }
 
 TEST(BlockingSemantics, ZeroWaitDispatchCountsButAddsNoWait)
@@ -391,6 +553,10 @@ TEST(CriticalPath, TiesResolveToLowestThreadKey)
     EXPECT_EQ(report.criticalPathSwitches, 0u);
     ASSERT_EQ(report.criticalPath.size(), 1u);
     EXPECT_EQ(report.criticalPath[0], (CriticalPathHop{5, 50}));
+
+    // The fused path meets (7, 70) first, so its dense id order is
+    // not the key order; the tie must still go to (5, 50).
+    expectFusedMatchesReference(bundle, {});
 }
 
 TEST(CriticalPath, BackwalkIsCappedOnWakeupCycles)

@@ -745,6 +745,58 @@ TEST(QueryGroupBy, PartitionedColumnsEqualPerFilterColumns)
 }
 
 /**
+ * An in-order stream skips finishColumns' dispatch sort and wait-row
+ * sort, which are the identity there. With runs of equal timestamps
+ * (equal wait ends with different begins) the skip must land on
+ * exactly the columns the sort path builds from the same emission —
+ * for partitioned groups and for a lone group, which reserves its
+ * columns up front.
+ */
+TEST(QueryGroupBy, InOrderStreamSkipsSortsWithIdenticalColumns)
+{
+    detail::ColumnNeeds needs;
+    needs.dispatches = true;
+    needs.bursts = true;
+    needs.waits = true;
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        BundleSpec spec;
+        spec.cswitches = 600;
+        TraceBundle bundle = randomBundle(seed + 700, spec);
+        Rng rng(seed);
+        auto &events = bundle.cswitches;
+        for (std::size_t i = 0; i < events.size();) {
+            std::size_t run = 1 + rng.below(5);
+            for (std::size_t j = i + 1; j < std::min(i + run, events.size());
+                 ++j) {
+                events[j].timestamp = events[i].timestamp;
+                events[j].readyTime = std::min(events[j].readyTime,
+                                               events[j].timestamp);
+            }
+            i += run;
+        }
+        const std::vector<std::vector<std::pair<Pid, trace::Tid>>>
+            keySets = {{{5, 0}, {6, 0}, {7, 0}, {9, 0}}, {{5, 0}}};
+        for (const auto &keys : keySets) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " groups " +
+                         std::to_string(keys.size()));
+            std::vector<detail::PendingColumns> groups =
+                detail::sweepPartition(bundle,
+                                       detail::PartitionBy::Process,
+                                       keys, detail::kAllCpus, needs);
+            for (detail::PendingColumns &group : groups) {
+                ASSERT_TRUE(group.sorted);
+                detail::PendingColumns forced = group;
+                forced.sorted = false;
+                detail::finishColumns(needs, group);
+                detail::finishColumns(needs, forced);
+                EXPECT_FALSE(group.columns.dispatches.empty());
+                expectColumnsEqual(group.columns, forced.columns);
+            }
+        }
+    }
+}
+
+/**
  * by=thread and by=process with every cswitch metric, cpu masks and
  * time windows: the one-pass group-by matches the per-filter
  * reference at 1/2/7 threads, and a lone group-by query costs one

@@ -117,4 +117,63 @@ TEST(EtlRobustness, HugeDeclaredCountDoesNotAllocate)
     mustNotCrash(data);
 }
 
+/**
+ * A well-formed .etl whose only section is @p tag, declaring
+ * @p count records in a @p frameBytes payload of zero bytes after the
+ * count varint. Zero bytes decode as records of zero-valued varints
+ * and empty strings, so the records that fit decode cleanly and the
+ * rest of the declared count is a truncation defect.
+ */
+std::string
+forgedCountEtl(std::uint8_t tag, std::uint64_t count,
+               std::size_t frameBytes)
+{
+    std::string data = "DPETL\x01";
+    data.push_back('\0');
+    data.push_back('\0');
+    putVarint(data, kEtlVersion);
+    putVarint(data, 0);   // start
+    putVarint(data, 100); // stop
+    putVarint(data, 12);  // cpus
+    std::string payload;
+    putVarint(payload, count);
+    payload.resize(frameBytes, '\0');
+    data.push_back(static_cast<char>(tag));
+    putVarint(data, payload.size());
+    data += payload;
+    data.push_back('\xff'); // End
+    return data;
+}
+
+TEST(EtlRobustness, ForgedCountReservesNoMoreThanTheFrameHolds)
+{
+    // A 1 MB CSwitch frame declaring 1M records (a count the frame
+    // length admits, at one byte per record): a record is at least 7
+    // bytes (seven varints), so the frame holds at most 1 MB / 7 of
+    // them and the reserve must stop there instead of allocating 40
+    // bytes of events per byte of input.
+    constexpr std::size_t kFrame = 1 << 20;
+    constexpr std::uint64_t kCount = 1'000'000;
+    const std::string cswitch = forgedCountEtl(2, kCount, kFrame);
+    // A ThreadLife record is at least 5 bytes (four varints and a
+    // string length), and each event holds a std::string.
+    const std::string threads = forgedCountEtl(5, kCount, kFrame);
+    for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+        SCOPED_TRACE(mode == ParseMode::Strict ? "strict" : "lenient");
+        ParseOptions options;
+        options.mode = mode;
+
+        IngestReport report;
+        TraceBundle bundle = decodeEtl(cswitch, options, report);
+        EXPECT_FALSE(report.ok());
+        EXPECT_EQ(bundle.cswitches.size(), (kFrame - 3) / 7);
+        EXPECT_LE(bundle.cswitches.capacity(), kFrame / 7);
+
+        bundle = decodeEtl(threads, options, report);
+        EXPECT_FALSE(report.ok());
+        EXPECT_EQ(bundle.threadEvents.size(), (kFrame - 3) / 5);
+        EXPECT_LE(bundle.threadEvents.capacity(), kFrame / 5);
+    }
+}
+
 } // namespace

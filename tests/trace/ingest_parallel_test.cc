@@ -8,7 +8,9 @@
  * count, in both strict and lenient mode — including on corrupted
  * input. The chunk-boundary edge cases (CRLF, quoted quotes, final
  * line without a newline, more chunks than lines) are pinned
- * explicitly; a fault-injection sweep covers the long tail.
+ * explicitly; a fault-injection sweep covers the long tail. decodeEtl
+ * decodes its sections serially at every thread count, so its tests
+ * pin the mapped reader to the istream one.
  */
 
 #include <gtest/gtest.h>
@@ -455,12 +457,89 @@ TEST(ParallelIngest, EtlDifferentialMutants)
     }
 }
 
+/** Payload bounds of one section frame of a serialized .etl. */
+struct SectionBounds
+{
+    std::size_t payload = 0; // the count varint
+    std::size_t limit = 0;   // one past the payload
+};
+
+SectionBounds
+findSection(const std::string &bytes, std::uint8_t tag)
+{
+    std::size_t pos = 8; // magic
+    for (int i = 0; i < 4; ++i)
+        getVarint(bytes, pos); // version, start, stop, cpus
+    while (pos < bytes.size()) {
+        auto at = static_cast<std::uint8_t>(bytes[pos++]);
+        std::size_t length = getVarint(bytes, pos);
+        if (at == tag)
+            return {pos, pos + length};
+        pos += length;
+    }
+    ADD_FAILURE() << "no section " << unsigned(tag);
+    return {};
+}
+
+TEST(ParallelIngest, EtlGpuSectionDefectsAfterCleanCswitches)
+{
+    // Two defects in the GpuPackets section, which follows a clean
+    // CSwitch section: a record-level one (an unknown engine id in
+    // a middle packet) and a section-level one (a declared count one
+    // past the records present). Strict mode keeps the CSwitch
+    // section and stops; lenient mode hops the GPU frame and keeps
+    // decoding the sections after it.
+    std::ostringstream out;
+    TraceBundle original = makeBundle(400);
+    writeEtl(original, out);
+    const std::string clean = out.str();
+    const SectionBounds gpu = findSection(clean, 3);
+
+    std::string badEngine = clean;
+    std::size_t pos = gpu.payload;
+    std::uint64_t count = getVarint(clean, pos);
+    for (std::uint64_t i = 0; i < count / 2; ++i)
+        for (int f = 0; f < 7; ++f)
+            getVarint(clean, pos);
+    for (int f = 0; f < 4; ++f)
+        getVarint(clean, pos); // start, queue, finish deltas, pid
+    ASSERT_LT(static_cast<unsigned char>(clean[pos]), 0x80u);
+    badEngine[pos] = 9; // engine ids stop at kNumGpuEngines - 1
+
+    std::string badCount = clean;
+    std::string countBytes, oneMore;
+    putVarint(countBytes, count);
+    putVarint(oneMore, count + 1);
+    ASSERT_EQ(countBytes.size(), oneMore.size());
+    badCount.replace(gpu.payload, oneMore.size(), oneMore);
+
+    for (const std::string *mutant : {&badEngine, &badCount}) {
+        SCOPED_TRACE(mutant == &badEngine ? "engine id" : "count");
+        etlDifferential(*mutant);
+        for (ParseMode mode :
+             {ParseMode::Strict, ParseMode::Lenient}) {
+            ParseOptions options;
+            options.mode = mode;
+            IngestReport report;
+            TraceBundle bundle = decodeEtl(*mutant, options, report);
+            EXPECT_FALSE(report.ok());
+            ASSERT_EQ(report.errors.size(), 1u);
+            EXPECT_EQ(report.errors[0].section, "GpuPackets");
+            EXPECT_EQ(bundle.cswitches.size(),
+                      original.cswitches.size());
+            EXPECT_EQ(bundle.frames.size(),
+                      mode == ParseMode::Lenient
+                          ? original.frames.size()
+                          : 0u);
+        }
+    }
+}
+
 TEST(ParallelIngest, EtlTruncatedFramingFallsBackIdentically)
 {
     // Chop the file at awkward points: inside the magic, the header,
-    // a section length varint, and a section payload. The parallel
-    // pre-scan must reject these and the serial fallback must match
-    // the legacy reader byte for byte.
+    // a section length varint, and a section payload. The mapped
+    // reader must match the istream reader byte for byte.
     std::ostringstream out;
     writeEtl(makeBundle(40), out);
     std::string bytes = out.str();
