@@ -16,6 +16,7 @@
 #include <iostream>
 
 #include "analysis/analyzer.hh"
+#include "analysis/session.hh"
 #include "apps/registry.hh"
 #include "bench_util.hh"
 #include "input/driver.hh"
@@ -56,10 +57,11 @@ run(bool with_photoshop)
     trace::TraceBundle bundle = machine.session().takeBundle();
 
     CoRun out;
-    out.handbrake = analysis::analyzeApp(bundle, "handbrake");
+    analysis::Session session(bundle);
+    out.handbrake = session.app("handbrake");
     if (with_photoshop)
-        out.photoshop = analysis::analyzeApp(bundle, "photoshop");
-    out.system = analysis::analyzeApp(bundle, trace::PidSet{});
+        out.photoshop = session.app("photoshop");
+    out.system = session.app(trace::PidSet{});
     out.handbrakeFps = out.handbrake.frames.avgFps;
     return out;
 }

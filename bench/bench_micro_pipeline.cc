@@ -26,6 +26,7 @@
 #include "analysis/analyzer.hh"
 #include "analysis/framerate.hh"
 #include "analysis/gpu_util.hh"
+#include "analysis/session.hh"
 #include "analysis/timeseries.hh"
 #include "analysis/tlp.hh"
 #include "analysis/trace_index.hh"
@@ -84,7 +85,7 @@ BM_ComputeTlp(benchmark::State &state)
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto profile = analysis::computeConcurrency(bundle, pids);
+        auto profile = analysis::Session(bundle).concurrency(pids);
         benchmark::DoNotOptimize(profile.tlp());
     }
     state.SetItemsProcessed(state.iterations() *
@@ -98,7 +99,7 @@ BM_ComputeGpuUtil(benchmark::State &state)
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto util = analysis::computeGpuUtil(bundle, pids);
+        auto util = analysis::Session(bundle).gpuUtil(pids);
         benchmark::DoNotOptimize(util.aggregateRatio);
     }
 }
@@ -110,29 +111,29 @@ BM_TlpTimeSeries(benchmark::State &state)
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto series =
-            analysis::tlpSeries(bundle, pids, sim::msec(250));
+        auto series = analysis::Session(bundle).tlpSeries(
+            pids, sim::msec(250));
         benchmark::DoNotOptimize(series.maxValue());
     }
 }
 BENCHMARK(BM_TlpTimeSeries);
 
-/** Warm static index over the sample bundle (shared across benches). */
-const analysis::TraceIndex &
-sampleIndex()
+/** Warm static Session over the sample bundle (shared across benches). */
+const analysis::Session &
+sampleSession()
 {
-    static analysis::TraceIndex index(sampleBundle());
+    static analysis::Session session(sampleBundle());
     static const bool warmed =
-        (index.warm(samplePids()), true);
+        (session.index().warm(samplePids()), true);
     (void)warmed;
-    return index;
+    return session;
 }
 
 void
 BM_IndexBuild(benchmark::State &state)
 {
-    // Cold build plus one whole-window query: what one-shot callers
-    // (the computeConcurrency wrapper) pay per bundle.
+    // Cold build plus one whole-window query: what a one-shot
+    // Session pays per bundle.
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     for (auto _ : state) {
@@ -149,7 +150,7 @@ void
 BM_IndexWindowQuery(benchmark::State &state)
 {
     // Warm windowed query: the timeline figures' per-window cost.
-    const auto &index = sampleIndex();
+    const auto &index = sampleSession().index();
     const auto &bundle = sampleBundle();
     const auto &pids = samplePids();
     sim::SimTime t0 = bundle.startTime;
@@ -181,13 +182,12 @@ BENCHMARK(BM_LegacyWindowSweep);
 void
 BM_IndexTlpTimeSeries(benchmark::State &state)
 {
-    // Full 250 ms-window TLP series on a warm index; compare against
-    // BM_TlpTimeSeries (which builds its index per call).
-    const auto &index = sampleIndex();
+    // Full 250 ms-window TLP series on a warm Session; compare
+    // against BM_TlpTimeSeries (which builds its index per call).
+    const auto &session = sampleSession();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto series =
-            analysis::tlpSeries(index, pids, sim::msec(250));
+        auto series = session.tlpSeries(pids, sim::msec(250));
         benchmark::DoNotOptimize(series.maxValue());
     }
 }
@@ -196,10 +196,10 @@ BENCHMARK(BM_IndexTlpTimeSeries);
 void
 BM_AnalyzeAppFused(benchmark::State &state)
 {
-    const auto &index = sampleIndex();
+    const auto &session = sampleSession();
     const auto &pids = samplePids();
     for (auto _ : state) {
-        auto metrics = analysis::analyzeApp(index, pids);
+        auto metrics = session.app(pids);
         benchmark::DoNotOptimize(metrics.tlp());
     }
 }
@@ -266,7 +266,7 @@ BM_CsvExport(benchmark::State &state)
 BENCHMARK(BM_CsvExport);
 
 /* ------------------------------------------------------------------ */
-/*  Ingest benches: legacy istream vs zero-copy mapped vs parallel     */
+/*  Ingest benches: legacy istream vs zero-copy mapped vs parallel CSV */
 /* ------------------------------------------------------------------ */
 
 /** The sample bundle exported once to disk, for file-ingest benches. */
@@ -341,14 +341,14 @@ ingestEtlSerial()
     return bundle.totalEvents();
 }
 
+/** Mapped span decode (the .etl decoder is serial at any thread count). */
 std::size_t
-ingestEtlMapped(unsigned threads)
+ingestEtlMapped()
 {
     trace::io::MappedFile file =
         trace::io::MappedFile::openOrThrow(ingestEtlPath(), "bench");
     trace::ParseOptions popts;
     popts.source = ingestEtlPath();
-    popts.threads = threads;
     trace::IngestReport report;
     auto bundle = trace::decodeEtl(file.span(), popts, report);
     return bundle.totalEvents();
@@ -428,7 +428,7 @@ void
 BM_EtlIngestMappedCold(benchmark::State &state)
 {
     for (auto _ : state)
-        benchmark::DoNotOptimize(ingestEtlMapped(1));
+        benchmark::DoNotOptimize(ingestEtlMapped());
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(fileSize(ingestEtlPath())));
@@ -442,7 +442,6 @@ BM_EtlIngestMappedWarm(benchmark::State &state)
         trace::io::MappedFile::openOrThrow(ingestEtlPath(), "bench");
     trace::ParseOptions popts;
     popts.source = ingestEtlPath();
-    popts.threads = 1;
     for (auto _ : state) {
         trace::IngestReport report;
         auto bundle = trace::decodeEtl(file.span(), popts, report);
@@ -453,18 +452,6 @@ BM_EtlIngestMappedWarm(benchmark::State &state)
         static_cast<std::int64_t>(file.size()));
 }
 BENCHMARK(BM_EtlIngestMappedWarm);
-
-void
-BM_EtlIngestParallel(benchmark::State &state)
-{
-    unsigned jobs = sim::resolveJobs();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(ingestEtlMapped(jobs));
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(fileSize(ingestEtlPath())));
-}
-BENCHMARK(BM_EtlIngestParallel);
 
 /* ------------------------------------------------------------------ */
 /*  Observability overhead: span/counter cost, recording off vs on     */
@@ -553,9 +540,7 @@ recordIngestBenches()
     record("micro_ingest_etl_serial", etlReps,
            [] { ingestEtlSerial(); });
     record("micro_ingest_etl_mapped", etlReps,
-           [] { ingestEtlMapped(1); });
-    record("micro_ingest_etl_parallel", etlReps,
-           [jobs] { ingestEtlMapped(jobs); });
+           [] { ingestEtlMapped(); });
 }
 
 /**
@@ -626,7 +611,6 @@ recordObsOverheadRecords()
             ingestEtlPath(), "bench");
         trace::ParseOptions popts;
         popts.source = ingestEtlPath();
-        popts.threads = 1;
         trace::IngestReport report;
         auto bundle = trace::decodeEtl(file.span(), popts, report);
         analysis::TraceIndex index(bundle);

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "analysis/stats.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
 
 namespace deskpar::analysis {
 
@@ -60,11 +58,5 @@ computeFrameStats(const TraceBundle &bundle, const PidSet &pids)
 }
 
 } // namespace legacy
-
-FrameStats
-computeFrameStats(const TraceBundle &bundle, const PidSet &pids)
-{
-    return Session(bundle).frameStats(pids);
-}
 
 } // namespace deskpar::analysis

@@ -38,23 +38,12 @@ struct FrameStats
     }
 };
 
-/**
- * Compute frame statistics for @p pids (empty = all). A thin wrapper
- * over TraceIndex (trace_index.hh), which caches the result per pid
- * set.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-FrameStats computeFrameStats(const TraceBundle &bundle,
-                             const PidSet &pids);
-
 namespace legacy {
 
 /**
- * The direct single-sweep implementation — the bit-identical
- * reference for (and backing store of) the index-cached path.
+ * Frame statistics for @p pids (empty = all), by a direct single
+ * sweep — the bit-identical reference for (and backing store of)
+ * the index-cached path (Session::frameStats).
  */
 FrameStats computeFrameStats(const TraceBundle &bundle,
                              const PidSet &pids);

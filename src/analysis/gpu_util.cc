@@ -1,8 +1,6 @@
 #include "analysis/gpu_util.hh"
 
 #include "analysis/intervals.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
 #include "sim/logging.hh"
 
 namespace deskpar::analysis {
@@ -60,19 +58,5 @@ computeGpuUtil(const TraceBundle &bundle, const PidSet &pids)
 }
 
 } // namespace legacy
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids,
-               sim::SimTime t0, sim::SimTime t1)
-{
-    return Session(bundle).gpuUtil(pids, t0, t1);
-}
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeGpuUtil(bundle, pids, bundle.startTime,
-                          bundle.stopTime);
-}
 
 } // namespace deskpar::analysis

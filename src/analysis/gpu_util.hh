@@ -55,30 +55,13 @@ struct GpuUtilization
     }
 };
 
-/**
- * Compute GPU utilization over [@p t0, @p t1) for processes in
- * @p pids (empty set = all processes).
- *
- * A thin wrapper over TraceIndex (trace_index.hh); callers issuing
- * many windowed queries should build the index once instead.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids, sim::SimTime t0,
-                              sim::SimTime t1);
-
-/** Convenience: whole-bundle window. */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids);
-
 namespace legacy {
 
 /**
- * The direct full-scan implementation — the bit-identical reference
- * for the index-backed path. Same contract as computeGpuUtil.
+ * GPU utilization over [@p t0, @p t1) for processes in @p pids
+ * (empty set = all processes), by a direct full scan — the
+ * bit-identical reference for the index-backed path
+ * (Session::gpuUtil).
  */
 GpuUtilization computeGpuUtil(const TraceBundle &bundle,
                               const PidSet &pids, sim::SimTime t0,

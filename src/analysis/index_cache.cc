@@ -8,10 +8,10 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
 #include "trace/io.hh"
+#include "trace/open.hh"
 
 namespace deskpar::analysis {
 
@@ -50,15 +50,6 @@ getU64(std::string_view data, std::size_t &pos, std::uint64_t &value)
             return true;
         shift += 7;
     }
-}
-
-/** Does @p path end with @p suffix? (case-sensitive, like the CLI) */
-bool
-hasSuffix(const std::string &path, const char *suffix)
-{
-    std::size_t n = std::char_traits<char>::length(suffix);
-    return path.size() > n &&
-           path.compare(path.size() - n, n, suffix) == 0;
 }
 
 } // namespace
@@ -301,24 +292,8 @@ openSession(const std::string &tracePath, const OpenOptions &options)
     trace::ParseOptions popts = options.parse;
     if (popts.source.empty())
         popts.source = tracePath;
-    trace::TraceBundle bundle;
-    {
-        trace::io::MappedFile file =
-            trace::io::MappedFile::openOrThrow(tracePath,
-                                               "openSession");
-        if (hasSuffix(tracePath, ".csv")) {
-            result.report = trace::decodeCpuUsageCsv(file.span(),
-                                                     bundle, popts);
-        } else if (trace::isEtlcData(file.span())) {
-            bundle = trace::decodeEtlc(file.span(), popts,
-                                       result.report);
-        } else {
-            bundle = trace::decodeEtl(file.span(), popts,
-                                      result.report);
-        }
-    }
-
-    result.session = std::make_unique<Session>(std::move(bundle));
+    result.session = std::make_unique<Session>(trace::decodeFile(
+        tracePath, popts, result.report, "openSession"));
     result.session->index().warm(PidSet{});
     for (const std::string &prefix : options.prefixes)
         result.session->index().warm(result.session->pids(prefix));

@@ -5,8 +5,6 @@
 
 #include "analysis/gpu_util.hh"
 #include "analysis/intervals.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
 
 namespace deskpar::analysis {
 
@@ -107,12 +105,5 @@ estimatePower(const trace::TraceBundle &bundle,
 }
 
 } // namespace legacy
-
-PowerEstimate
-estimatePower(const trace::TraceBundle &bundle,
-              const sim::CpuSpec &cpu, const sim::GpuSpec &gpu)
-{
-    return Session(bundle).power(cpu, gpu);
-}
 
 } // namespace deskpar::analysis

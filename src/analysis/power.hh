@@ -51,26 +51,13 @@ struct PowerEstimate
     }
 };
 
-/**
- * Estimate average power over the whole bundle window. All processes
- * contribute (power is a machine-level quantity).
- *
- * A thin wrapper over TraceIndex (trace_index.hh), which caches the
- * per-CPU busy intervals and GPU columns.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-PowerEstimate estimatePower(const trace::TraceBundle &bundle,
-                            const sim::CpuSpec &cpu,
-                            const sim::GpuSpec &gpu);
-
 namespace legacy {
 
 /**
- * The direct implementation — the bit-identical reference for the
- * index-backed path.
+ * Average power over the whole bundle window; all processes
+ * contribute (power is a machine-level quantity). The direct
+ * implementation — the bit-identical reference for the index-backed
+ * path (Session::power).
  */
 PowerEstimate estimatePower(const trace::TraceBundle &bundle,
                             const sim::CpuSpec &cpu,
@@ -89,7 +76,7 @@ std::map<trace::CpuId, std::vector<Interval>>
 cpuBusyIntervals(const trace::TraceBundle &bundle);
 
 /**
- * The spec-model half of estimatePower over prebuilt busy intervals
+ * The spec-model half of legacy::estimatePower over prebuilt busy intervals
  * and a GPU busy ratio. @p seconds must be the nonzero window length.
  */
 PowerEstimate powerFromBusyIntervals(

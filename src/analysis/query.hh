@@ -180,8 +180,8 @@ namespace legacy {
 
 /**
  * The straight-line reference: evaluate @p query with one
- * independent full-trace sweep per row — computeConcurrency /
- * computeGpuUtil / direct event scans, nothing shared, warnings
+ * independent full-trace sweep per row — legacy::computeConcurrency /
+ * legacy::computeGpuUtil / direct event scans, nothing shared, warnings
  * emitted per sweep as the legacy functions always did. This is what
  * the fused planner (query_plan.hh) is differentially tested
  * against, and the "sequential per-metric calls" baseline of

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
 
 namespace deskpar::analysis {
 
@@ -61,12 +59,5 @@ computeResponsiveness(const trace::TraceBundle &bundle,
 }
 
 } // namespace legacy
-
-Responsiveness
-computeResponsiveness(const trace::TraceBundle &bundle,
-                      const trace::PidSet &pids)
-{
-    return Session(bundle).responsiveness(pids);
-}
 
 } // namespace deskpar::analysis

@@ -1,11 +1,37 @@
 #include "analysis/session.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
 #include "trace/filter.hh"
 
 namespace deskpar::analysis {
+
+namespace {
+
+/** Tile [startTime, stopTime) with @p window and sample each tile. */
+template <typename PerWindow>
+TimeSeries
+buildSeries(const TraceBundle &bundle, sim::SimDuration window,
+            std::string name, PerWindow per_window)
+{
+    if (window == 0)
+        deskpar::fatal("timeseries: zero window");
+    TimeSeries series;
+    series.name = std::move(name);
+    series.window = window;
+    for (sim::SimTime t = bundle.startTime; t < bundle.stopTime;
+         t += window) {
+        sim::SimTime end = std::min(t + window, bundle.stopTime);
+        if (end <= t)
+            break;
+        series.points.push_back(TimePoint{t, per_window(t, end)});
+    }
+    return series;
+}
+
+} // namespace
 
 Session::Session(const TraceBundle &bundle) : bundle_(&bundle) {}
 
@@ -47,13 +73,26 @@ Session::pids(const std::string &prefix) const
 AppMetrics
 Session::app(const PidSet &pids) const
 {
-    return analyzeApp(index(), pids);
+    // One cswitch sweep, one frame sweep and one GPU column build fill
+    // every field; columns already cached on the index are reused.
+    const TraceIndex &idx = index();
+    AppMetrics metrics;
+    metrics.concurrency = idx.concurrency(pids);
+    metrics.gpu = idx.gpuUtil(pids);
+    metrics.frames = idx.frameStats(pids);
+    return metrics;
 }
 
 AppMetrics
 Session::app(const std::string &prefix) const
 {
-    return analyzeApp(index(), prefix);
+    PidSet set;
+    if (!prefix.empty()) {
+        set = trace::pidsWithPrefix(*bundle_, prefix);
+        if (set.empty())
+            deskpar::fatal("Session::app: no process named " + prefix);
+    }
+    return app(set);
 }
 
 ConcurrencyProfile
@@ -103,28 +142,68 @@ Session::power(const sim::CpuSpec &cpu, const sim::GpuSpec &gpu) const
 TimeSeries
 Session::tlpSeries(const PidSet &pids, sim::SimDuration window) const
 {
-    return analysis::tlpSeries(index(), pids, window);
+    const TraceIndex &idx = index();
+    return buildSeries(*bundle_, window, "TLP",
+                       [&](sim::SimTime t0, sim::SimTime t1) {
+                           return idx.concurrency(pids, t0, t1).tlp();
+                       });
 }
 
 TimeSeries
 Session::concurrencySeries(const PidSet &pids,
                            sim::SimDuration window) const
 {
-    return analysis::concurrencySeries(index(), pids, window);
+    const TraceIndex &idx = index();
+    return buildSeries(
+        *bundle_, window, "Concurrency",
+        [&](sim::SimTime t0, sim::SimTime t1) {
+            return idx.concurrency(pids, t0, t1).utilization();
+        });
 }
 
 TimeSeries
 Session::gpuUtilSeries(const PidSet &pids,
                        sim::SimDuration window) const
 {
-    return analysis::gpuUtilSeries(index(), pids, window);
+    const TraceIndex &idx = index();
+    return buildSeries(
+        *bundle_, window, "GPU Utilization (%)",
+        [&](sim::SimTime t0, sim::SimTime t1) {
+            return idx.gpuUtil(pids, t0, t1).utilizationPercent();
+        });
 }
 
 TimeSeries
 Session::frameRateSeries(const PidSet &pids,
                          sim::SimDuration window) const
 {
-    return analysis::frameRateSeries(index(), pids, window);
+    const TraceBundle &b = *bundle_;
+    TimeSeries series =
+        buildSeries(b, window, "Frame Rate (FPS)",
+                    [](sim::SimTime, sim::SimTime) { return 0.0; });
+    if (series.points.empty())
+        return series;
+
+    for (const auto &frame : b.frames) {
+        if (!pids.empty() && pids.count(frame.pid) == 0)
+            continue;
+        if (frame.timestamp < b.startTime ||
+            frame.timestamp >= b.stopTime) {
+            continue;
+        }
+        auto idx = static_cast<std::size_t>(
+            (frame.timestamp - b.startTime) / window);
+        if (idx < series.points.size())
+            series.points[idx].value += 1.0;
+    }
+    // Convert counts to frames per second.
+    for (auto &point : series.points) {
+        sim::SimTime end = std::min(point.t + window, b.stopTime);
+        double span = sim::toSeconds(end - point.t);
+        if (span > 0.0)
+            point.value /= span;
+    }
+    return series;
 }
 
 QueryPlan

@@ -4,16 +4,12 @@
  * one TraceBundle plus its lazily-built TraceIndex and answers every
  * metric query the toolkit knows.
  *
- * Before this facade existed the API surface was four analyzeApp
- * overloads plus seven free functions (computeConcurrency,
- * computeGpuUtil, computeFrameStats, computeResponsiveness,
- * estimatePower, *Series), each of which silently rebuilt a fresh
- * TraceIndex when handed a bare bundle — so a caller computing three
- * metrics paid three full cswitch sweeps. A Session builds the index
- * once, on first query, and every subsequent query of any metric
- * reuses the cached columns. The old free functions survive as thin
- * shims over a throwaway Session (see their @deprecated notes) so
- * existing callers and the differential tests keep compiling.
+ * It is the one metric API: every metric is a Session method, and a
+ * Session builds its index once, on first query, so every later query
+ * of any metric reuses the cached columns. The legacy:: functions
+ * beside each metric are direct-sweep references that the
+ * differential tests prove these methods bit-identical against; they
+ * are not a second entry point.
  *
  * Lifetime: the borrowing constructor aliases the caller's bundle,
  * which must outlive the Session (the same contract TraceIndex had);
@@ -83,10 +79,18 @@ class Session
     /** Fused per-app metrics (concurrency + GPU + frames). */
     AppMetrics app(const PidSet &pids) const;
 
-    /** As above; fatals when @p prefix matches no process. */
+    /**
+     * As above for the processes whose names start with @p prefix;
+     * an empty prefix is system-wide (every non-idle process).
+     * Fatals when a non-empty @p prefix matches no process.
+     */
     AppMetrics app(const std::string &prefix) const;
 
-    /** Windowed concurrency histogram (Equation 1 inputs). */
+    /**
+     * Windowed concurrency histogram (Equation 1 inputs) over
+     * [@p t0, @p t1). An empty @p pids means every non-idle process;
+     * @p num_cpus caps the histogram (0 = the bundle's CPU count).
+     */
     ConcurrencyProfile concurrency(const PidSet &pids, sim::SimTime t0,
                                    sim::SimTime t1,
                                    unsigned num_cpus = 0) const;
@@ -111,7 +115,11 @@ class Session
     PowerEstimate power(const sim::CpuSpec &cpu,
                         const sim::GpuSpec &gpu) const;
 
-    /** Per-window TLP curve. */
+    /**
+     * Per-window TLP curve (0 for fully idle windows). Windows of
+     * length @p window tile [startTime, stopTime); a zero window is
+     * fatal. The other *Series methods tile the same way.
+     */
     TimeSeries tlpSeries(const PidSet &pids,
                          sim::SimDuration window) const;
 

@@ -7,10 +7,7 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "trace/csv.hh"
-#include "trace/etl.hh"
-#include "trace/etlc.hh"
-#include "trace/io.hh"
+#include "trace/open.hh"
 
 namespace deskpar::analysis {
 
@@ -27,14 +24,6 @@ residentCost(const Session &session)
 {
     return session.bundle().memoryBytes() +
            session.index().columnBytes();
-}
-
-bool
-hasSuffix(const std::string &path, const char *suffix)
-{
-    std::size_t n = std::char_traits<char>::length(suffix);
-    return path.size() > n &&
-           path.compare(path.size() - n, n, suffix) == 0;
 }
 
 std::string
@@ -91,21 +80,9 @@ SessionCache::fill(Slot &slot, const std::string &path,
     popts.source = path;
 
     auto report = std::make_shared<trace::IngestReport>();
-    trace::TraceBundle bundle;
     auto start = std::chrono::steady_clock::now();
-    {
-        trace::io::MappedFile file =
-            trace::io::MappedFile::openOrThrow(path, "SessionCache");
-        slot.ingest.bytes = file.span().size();
-        if (hasSuffix(path, ".csv")) {
-            *report =
-                trace::decodeCpuUsageCsv(file.span(), bundle, popts);
-        } else if (trace::isEtlcData(file.span())) {
-            bundle = trace::decodeEtlc(file.span(), popts, *report);
-        } else {
-            bundle = trace::decodeEtl(file.span(), popts, *report);
-        }
-    }
+    trace::TraceBundle bundle = trace::decodeFile(
+        path, popts, *report, "SessionCache", &slot.ingest.bytes);
     if (mode == trace::ParseMode::Strict && !report->ok()) {
         if (!report->errors.empty())
             throw trace::TraceParseError(report->errors.front());

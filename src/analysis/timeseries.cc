@@ -2,12 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/gpu_util.hh"
-#include "analysis/tlp.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
-#include "sim/logging.hh"
-
 namespace deskpar::analysis {
 
 double
@@ -28,124 +22,6 @@ TimeSeries::meanValue() const
     for (const auto &p : points)
         sum += p.value;
     return sum / static_cast<double>(points.size());
-}
-
-namespace {
-
-template <typename PerWindow>
-TimeSeries
-buildSeries(const TraceBundle &bundle, sim::SimDuration window,
-            std::string name, PerWindow per_window)
-{
-    if (window == 0)
-        deskpar::fatal("timeseries: zero window");
-    TimeSeries series;
-    series.name = std::move(name);
-    series.window = window;
-    for (sim::SimTime t = bundle.startTime; t < bundle.stopTime;
-         t += window) {
-        sim::SimTime end = std::min(t + window, bundle.stopTime);
-        if (end <= t)
-            break;
-        series.points.push_back(TimePoint{t, per_window(t, end)});
-    }
-    return series;
-}
-
-} // namespace
-
-TimeSeries
-tlpSeries(const TraceIndex &index, const PidSet &pids,
-          sim::SimDuration window)
-{
-    return buildSeries(
-        index.bundle(), window, "TLP",
-        [&](sim::SimTime t0, sim::SimTime t1) {
-            return index.concurrency(pids, t0, t1).tlp();
-        });
-}
-
-TimeSeries
-tlpSeries(const TraceBundle &bundle, const PidSet &pids,
-          sim::SimDuration window)
-{
-    return Session(bundle).tlpSeries(pids, window);
-}
-
-TimeSeries
-concurrencySeries(const TraceIndex &index, const PidSet &pids,
-                  sim::SimDuration window)
-{
-    return buildSeries(
-        index.bundle(), window, "Concurrency",
-        [&](sim::SimTime t0, sim::SimTime t1) {
-            return index.concurrency(pids, t0, t1).utilization();
-        });
-}
-
-TimeSeries
-concurrencySeries(const TraceBundle &bundle, const PidSet &pids,
-                  sim::SimDuration window)
-{
-    return Session(bundle).concurrencySeries(pids, window);
-}
-
-TimeSeries
-gpuUtilSeries(const TraceIndex &index, const PidSet &pids,
-              sim::SimDuration window)
-{
-    return buildSeries(
-        index.bundle(), window, "GPU Utilization (%)",
-        [&](sim::SimTime t0, sim::SimTime t1) {
-            return index.gpuUtil(pids, t0, t1).utilizationPercent();
-        });
-}
-
-TimeSeries
-gpuUtilSeries(const TraceBundle &bundle, const PidSet &pids,
-              sim::SimDuration window)
-{
-    return Session(bundle).gpuUtilSeries(pids, window);
-}
-
-TimeSeries
-frameRateSeries(const TraceBundle &bundle, const PidSet &pids,
-                sim::SimDuration window)
-{
-    TimeSeries series = buildSeries(
-        bundle, window, "Frame Rate (FPS)",
-        [](sim::SimTime, sim::SimTime) { return 0.0; });
-    if (series.points.empty())
-        return series;
-
-    for (const auto &frame : bundle.frames) {
-        if (!pids.empty() && pids.count(frame.pid) == 0)
-            continue;
-        if (frame.timestamp < bundle.startTime ||
-            frame.timestamp >= bundle.stopTime) {
-            continue;
-        }
-        auto idx = static_cast<std::size_t>(
-            (frame.timestamp - bundle.startTime) / window);
-        if (idx < series.points.size())
-            series.points[idx].value += 1.0;
-    }
-    // Convert counts to frames per second.
-    for (auto &point : series.points) {
-        sim::SimTime end =
-            std::min(point.t + window, bundle.stopTime);
-        double span = sim::toSeconds(end - point.t);
-        if (span > 0.0)
-            point.value /= span;
-    }
-    return series;
-}
-
-TimeSeries
-frameRateSeries(const TraceIndex &index, const PidSet &pids,
-                sim::SimDuration window)
-{
-    return frameRateSeries(index.bundle(), pids, window);
 }
 
 } // namespace deskpar::analysis

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "analysis/concurrency_timeline.hh"
-#include "analysis/session.hh"
-#include "analysis/trace_index.hh"
 #include "sim/logging.hh"
 #include "trace/diagnostic.hh"
 #include "trace/parse.hh"
@@ -106,19 +104,5 @@ computeConcurrency(const TraceBundle &bundle, const PidSet &pids)
 }
 
 } // namespace legacy
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1, unsigned num_cpus)
-{
-    return Session(bundle).concurrency(pids, t0, t1, num_cpus);
-}
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeConcurrency(bundle, pids, bundle.startTime,
-                              bundle.stopTime);
-}
 
 } // namespace deskpar::analysis

@@ -68,38 +68,17 @@ struct ConcurrencyProfile
     double utilization() const;
 };
 
-/**
- * Compute the concurrency profile of @p bundle over
- * [@p t0, @p t1) for the processes in @p pids.
- *
- * An empty @p pids means "every non-idle process" — the system-wide
- * TLP of the 2000/2010 studies. @p num_cpus caps the histogram; pass
- * bundle.numLogicalCpus (the default 0 means exactly that).
- *
- * A thin wrapper over TraceIndex (trace_index.hh): callers issuing
- * many windowed queries against one bundle should build the index
- * once and query it instead of paying a per-call sweep.
- *
- * @deprecated Thin shim over a throwaway analysis::Session; callers
- * issuing more than one query per bundle should hold a Session
- * (analysis/session.hh).
- */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1,
-                   unsigned num_cpus = 0);
-
-/** Convenience: whole-bundle window. */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids);
-
 namespace legacy {
 
 /**
- * The direct single-sweep implementation: the reference the
- * index-backed path is proven bit-identical against (and the
- * fallback for traces the index cannot represent). Same contract as
- * analysis::computeConcurrency.
+ * The concurrency profile of @p bundle over [@p t0, @p t1) for the
+ * processes in @p pids, by one direct sweep: the reference the
+ * index-backed path (Session::concurrency) is proven bit-identical
+ * against.
+ *
+ * An empty @p pids means "every non-idle process" — the system-wide
+ * TLP of the 2000/2010 studies. @p num_cpus caps the histogram; the
+ * default 0 means bundle.numLogicalCpus.
  */
 ConcurrencyProfile
 computeConcurrency(const TraceBundle &bundle, const PidSet &pids,

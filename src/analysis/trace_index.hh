@@ -79,7 +79,7 @@ class TraceIndex
 
     /**
      * Concurrency histogram over [@p t0, @p t1), same contract as
-     * computeConcurrency. Queries with @p num_cpus differing from
+     * legacy::computeConcurrency. Queries with @p num_cpus differing from
      * the bundle header (0 means the header value) fall back to the
      * legacy sweep, as do timelines poisoned by disordered streams.
      */
@@ -90,31 +90,34 @@ class TraceIndex
     /** Whole-bundle window. */
     ConcurrencyProfile concurrency(const PidSet &pids) const;
 
-    /** GPU utilization over [@p t0, @p t1), as computeGpuUtil. */
+    /** GPU utilization over [@p t0, @p t1), as legacy::computeGpuUtil. */
     GpuUtilization gpuUtil(const PidSet &pids, sim::SimTime t0,
                            sim::SimTime t1) const;
 
     /** Whole-bundle window. */
     GpuUtilization gpuUtil(const PidSet &pids) const;
 
-    /** Frame statistics, as computeFrameStats (cached per pid set). */
+    /**
+     * Frame statistics, as legacy::computeFrameStats (cached per pid
+     * set).
+     */
     FrameStats frameStats(const PidSet &pids) const;
 
     /**
-     * Input-to-dispatch latency, as computeResponsiveness, using the
+     * Input-to-dispatch latency, as legacy::computeResponsiveness, using the
      * cached sorted dispatch column of the pid set.
      */
     Responsiveness responsiveness(const PidSet &pids) const;
 
     /**
-     * Power estimate, as estimatePower, from the cached per-CPU busy
+     * Power estimate, as legacy::estimatePower, from the cached per-CPU busy
      * intervals and the GPU columns.
      */
     PowerEstimate power(const sim::CpuSpec &cpu,
                         const sim::GpuSpec &gpu) const;
 
     /**
-     * Eagerly build every column the fused analyzeApp sweep needs
+     * Eagerly build every column the fused Session::app sweep needs
      * for @p pids (useful before sharing the index across threads).
      */
     void warm(const PidSet &pids) const;

@@ -13,12 +13,9 @@
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
-#include "trace/csv.hh"
 #include "trace/diagnostic.hh"
-#include "trace/etl.hh"
-#include "trace/etlc.hh"
 #include "trace/filter.hh"
-#include "trace/io.hh"
+#include "trace/open.hh"
 
 namespace deskpar::apps {
 namespace {
@@ -119,26 +116,13 @@ replayJob(const std::string &path, const RunOptions &options,
             popts.mode = mode;
             popts.source = path;
             trace::IngestReport report;
-            trace::TraceBundle bundle;
             auto begin = std::chrono::steady_clock::now();
-            trace::io::MappedFile file =
-                trace::io::MappedFile::openOrThrow(path, "replay");
-            if (path.size() > 4 &&
-                path.compare(path.size() - 4, 4, ".csv") == 0) {
-                report = trace::decodeCpuUsageCsv(file.span(), bundle,
-                                                  popts);
-            } else if (trace::isEtlcData(file.span())) {
-                bundle =
-                    trace::decodeEtlc(file.span(), popts, report);
-            } else {
-                bundle = trace::decodeEtl(file.span(), popts, report);
-            }
-            shared->stats.bytes = file.size();
+            trace::TraceBundle bundle = trace::decodeFile(
+                path, popts, report, "replay", &shared->stats.bytes);
             shared->stats.seconds =
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - begin)
                     .count();
-            file.close();
             if (!report.ok()) {
                 // Strict: the file is rejected outright; the
                 // structured error fails this job (recoverable at

@@ -102,6 +102,8 @@ Mutation::describe() const
             return "LieCheckpointBitmap";
           case Kind::ScrambleCheckpointIdentity:
             return "ScrambleCheckpointIdentity";
+          case Kind::ForgeCpuCount:
+            return "ForgeCpuCount";
           case Kind::kCount:
             break;
         }
@@ -140,20 +142,27 @@ FaultInjector::mutationFor(std::size_t index) const
 
     Mutation m;
     // Rotate through the kinds so every family is covered evenly,
-    // regardless of corpus size.
+    // regardless of corpus size. Both binary trace formats end their
+    // rotation with the forged header CPU count.
     switch (format_) {
-      case TraceFormat::Binary:
-        m.kind = static_cast<Mutation::Kind>(index % byteKinds);
+      case TraceFormat::Binary: {
+        std::size_t k = index % (byteKinds + 1);
+        m.kind = k < byteKinds ? static_cast<Mutation::Kind>(k)
+                               : Mutation::Kind::ForgeCpuCount;
         break;
+      }
       case TraceFormat::Text:
         m.kind = static_cast<Mutation::Kind>(index % textKinds);
         break;
       case TraceFormat::Etlc: {
-        std::size_t k = index % (byteKinds + etlcKinds);
-        m.kind = k < byteKinds
-                     ? static_cast<Mutation::Kind>(k)
-                     : static_cast<Mutation::Kind>(
-                           textKinds + (k - byteKinds));
+        std::size_t k = index % (byteKinds + etlcKinds + 1);
+        if (k < byteKinds)
+            m.kind = static_cast<Mutation::Kind>(k);
+        else if (k < byteKinds + etlcKinds)
+            m.kind = static_cast<Mutation::Kind>(textKinds +
+                                                 (k - byteKinds));
+        else
+            m.kind = Mutation::Kind::ForgeCpuCount;
         break;
       }
       case TraceFormat::Checkpoint: {
@@ -451,6 +460,27 @@ FaultInjector::apply(const std::string &data, const Mutation &m,
         for (int shift = 0; shift < 32; shift += 8)
             out[8 + shift / 8] = static_cast<char>(
                 (crc >> shift) & 0xff);
+        break;
+      }
+
+      case Mutation::Kind::ForgeCpuCount: {
+        // Header past the 8-byte magic: version, startTime, stopTime,
+        // numLogicalCpus. Inputs without that shape stay untouched.
+        std::size_t at = 8;
+        std::uint64_t skipped = 0;
+        ParseError err;
+        bool framed = size > at;
+        for (int field = 0; framed && field < 3; ++field)
+            framed = tryGetVarint(out, at, skipped, err);
+        std::size_t cpusPos = at;
+        if (!framed || !tryGetVarint(out, at, skipped, err))
+            break;
+        const std::uint64_t forged[] = {kMaxLogicalCpus + 1,
+                                        1ull << 31,
+                                        (1ull << 32) + m.value};
+        std::string replacement;
+        putVarint(replacement, forged[m.value % 3]);
+        out.replace(cpusPos, at - cpusPos, replacement);
         break;
       }
 

@@ -7,8 +7,9 @@
  * from a seed: truncations, bit flips, byte stomps, range deletion
  * and duplication, garbage insertion, and CSV-aware mutations (field
  * deletion, quote breakage, numeric junk, line swaps that disorder
- * timestamps). Mutant @e i is a pure function of (bytes, seed, i),
- * so a failing index reproduces exactly across runs and machines.
+ * timestamps) and a forged header CPU count. Mutant @e i is a pure
+ * function of (bytes, seed, i), so a failing index reproduces exactly
+ * across runs and machines.
  *
  * The corpus contract (tests/trace/corpus_test.cc): every mutant
  * either decodes cleanly or yields a structured ParseError — never a
@@ -91,6 +92,13 @@ struct Mutation
          * (sweep checkpoints).
          */
         ScrambleCheckpointIdentity,
+        /**
+         * Rewrite the header's numLogicalCpus varint (the fourth
+         * varint past the 8-byte magic, in .etl and .etlc alike) to
+         * a forged count: just past kMaxLogicalCpus, 2^31, or a
+         * value past 32 bits (.etl and .etlc inputs).
+         */
+        ForgeCpuCount,
         kCount,
     };
 
@@ -105,11 +113,14 @@ struct Mutation
 
 /** What the injected bytes are, selecting the mutation rotation. */
 enum class TraceFormat : std::uint8_t {
-    /** .etl v3 (or any opaque bytes): byte-level kinds only. */
+    /** .etl v3: byte-level kinds plus the forged CPU count. */
     Binary,
     /** CSV text: byte-level plus the CSV-aware kinds. */
     Text,
-    /** .etlc: byte-level plus the block-anatomy kinds. */
+    /**
+     * .etlc: byte-level plus the block-anatomy kinds and the forged
+     * CPU count.
+     */
     Etlc,
     /**
      * Sweep progress checkpoint (magic + CRC32C + varint body):

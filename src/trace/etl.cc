@@ -547,8 +547,15 @@ decodeEtlBody(io::ByteSpan data, const ParseOptions &options,
         !headerField("stopTime", value))
         return bundle;
     bundle.stopTime = value;
+    std::size_t cpusPos = r.pos;
     if (!headerField("numLogicalCpus", value))
         return bundle;
+    if (!checkLogicalCpuCount(value, err)) {
+        err.offset = cpusPos;
+        r.note(r.located(std::move(err), "header",
+                         ParseError::kNoPosition));
+        return bundle;
+    }
     bundle.numLogicalCpus = static_cast<std::uint32_t>(value);
 
     bool lenient = options.mode == ParseMode::Lenient;

@@ -127,7 +127,7 @@ class ParseResult
     ParseError error_;
 };
 
-/** Reader configuration shared by the CSV and .etl entry points. */
+/** Reader configuration shared by the CSV, .etl and .etlc readers. */
 struct ParseOptions
 {
     ParseMode mode = ParseMode::Strict;
@@ -136,12 +136,13 @@ struct ParseOptions
     /** Cap on errors *stored* in the report (all are counted). */
     std::size_t maxStoredErrors = 64;
     /**
-     * Decode worker threads for the zero-copy span readers: 0 resolves
-     * via DESKPAR_JOBS / hardware concurrency (with a minimum input
-     * size before fanning out); an explicit value forces that many
-     * chunks even for tiny inputs (tests). The legacy istream readers
-     * are always serial and ignore this. Bundles, reports, and error
-     * payloads are byte-identical at every thread count.
+     * Decode worker threads for the CSV span readers and the .etlc
+     * reader: 0 resolves via DESKPAR_JOBS / hardware concurrency (with
+     * a minimum input size before fanning out); an explicit value
+     * forces that many chunks even for tiny inputs (tests). The .etl
+     * reader and the legacy istream readers are always serial and
+     * ignore this. Bundles, reports, and error payloads are
+     * byte-identical at every thread count.
      */
     unsigned threads = 0;
 };

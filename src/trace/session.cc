@@ -115,6 +115,18 @@ TraceBundle::pidsByPrefix(const std::string &prefix) const
     return pids;
 }
 
+bool
+checkLogicalCpuCount(std::uint64_t count, ParseError &err)
+{
+    if (count <= kMaxLogicalCpus)
+        return true;
+    err.field = "numLogicalCpus";
+    err.reason = "CPU count " + std::to_string(count) +
+                 " exceeds the cap of " +
+                 std::to_string(kMaxLogicalCpus);
+    return false;
+}
+
 std::vector<ParseError>
 TraceBundle::validateEncoding() const
 {
@@ -132,6 +144,11 @@ TraceBundle::validateEncoding() const
         add("header", ParseError::kNoPosition,
             "stopTime " + std::to_string(stopTime) +
                 " precedes startTime " + std::to_string(startTime));
+    }
+    ParseError cpus;
+    if (!checkLogicalCpuCount(numLogicalCpus, cpus)) {
+        cpus.section = "header";
+        errors.push_back(std::move(cpus));
     }
 
     auto checkSorted = [&](const auto &events, const char *section,

@@ -34,6 +34,22 @@ enum ProviderFlags : std::uint32_t {
 };
 
 /**
+ * Largest CPU count a trace header may declare. Analyses size per-CPU
+ * state by the header count, so a forged count would make one request
+ * allocate gigabytes; the simulator's largest package has 64 logical
+ * CPUs. The .etl and .etlc readers refuse a larger count as a header
+ * defect (in both modes), and their writers refuse to encode one.
+ */
+inline constexpr std::uint64_t kMaxLogicalCpus = 4096;
+
+/**
+ * Check a declared CPU count against kMaxLogicalCpus (which also
+ * rejects any value that does not fit the 32-bit field). On failure
+ * @p err gets the field and reason; the caller locates it.
+ */
+bool checkLogicalCpuCount(std::uint64_t count, ParseError &err);
+
+/**
  * An immutable bag of recorded events plus session metadata. This is
  * what analyses consume; it can be produced live (TraceSession), read
  * from an .etl container, or parsed back from CSV.
@@ -91,7 +107,8 @@ struct TraceBundle
 
     /**
      * Structural defects that would silently corrupt the unsigned
-     * delta encoding of writeEtl: an inverted observation window,
+     * delta encoding of writeEtl, or that a reader would refuse: an
+     * inverted observation window, a CPU count past kMaxLogicalCpus,
      * event streams not sorted by timestamp, or GPU packets with
      * queued > start or finish < start. Each defect names its
      * section and the offending record index; empty = encodable.

@@ -83,7 +83,10 @@ TEST(Session, MatchesFreeFunctionAnalysis)
     ASSERT_EQ(pids.size(), 1u);
 
     analysis::Session session(bundle);
-    analysis::AppMetrics direct = analysis::analyzeApp(bundle, pids);
+    analysis::AppMetrics direct;
+    direct.concurrency = analysis::legacy::computeConcurrency(bundle, pids);
+    direct.gpu = analysis::legacy::computeGpuUtil(bundle, pids);
+    direct.frames = analysis::legacy::computeFrameStats(bundle, pids);
     analysis::AppMetrics viaSession = session.app(pids);
 
     EXPECT_DOUBLE_EQ(direct.tlp(), viaSession.tlp());

@@ -22,6 +22,7 @@
 #include "analysis/gpu_util.hh"
 #include "analysis/power.hh"
 #include "analysis/responsiveness.hh"
+#include "analysis/session.hh"
 #include "analysis/timeseries.hh"
 #include "analysis/tlp.hh"
 #include "analysis/trace_index.hh"
@@ -337,9 +338,9 @@ TEST(TraceIndexDiff, FusedAnalyzeAppMatchesLegacyComposition)
 {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
         TraceBundle bundle = randomBundle(seed);
-        TraceIndex index(bundle);
+        Session session(bundle);
         for (const auto &pids : pidSets()) {
-            AppMetrics fused = analyzeApp(index, pids);
+            AppMetrics fused = session.app(pids);
             expectProfilesEqual(
                 fused.concurrency,
                 legacy::computeConcurrency(bundle, pids));
@@ -354,12 +355,12 @@ TEST(TraceIndexDiff, FusedAnalyzeAppMatchesLegacyComposition)
 TEST(TraceIndexDiff, TimeSeriesPointwiseMatchesLegacyWindows)
 {
     TraceBundle bundle = randomBundle(7);
-    TraceIndex index(bundle);
+    Session session(bundle);
     const sim::SimDuration window = sim::msec(1);
     for (const auto &pids : {trace::PidSet{}, trace::PidSet{5}}) {
-        TimeSeries tlp = tlpSeries(index, pids, window);
-        TimeSeries conc = concurrencySeries(index, pids, window);
-        TimeSeries gpu = gpuUtilSeries(index, pids, window);
+        TimeSeries tlp = session.tlpSeries(pids, window);
+        TimeSeries conc = session.concurrencySeries(pids, window);
+        TimeSeries gpu = session.gpuUtilSeries(pids, window);
         ASSERT_FALSE(tlp.points.empty());
         ASSERT_EQ(tlp.points.size(), conc.points.size());
         ASSERT_EQ(tlp.points.size(), gpu.points.size());

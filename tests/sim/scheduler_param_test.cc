@@ -10,6 +10,7 @@
 #include <map>
 #include <tuple>
 
+#include "analysis/session.hh"
 #include "analysis/tlp.hh"
 #include "sim/behaviors_basic.hh"
 #include "sim/machine.hh"
@@ -112,8 +113,8 @@ TEST_P(SchedulerSweep, ConcurrencyNeverExceedsActiveCpus)
     machine.run(sec(3));
     machine.session().stop(machine.now());
 
-    auto profile = analysis::computeConcurrency(
-        machine.session().bundle(), {}, 0, machine.now(), 12);
+    auto profile = analysis::Session(machine.session().bundle())
+                       .concurrency({}, 0, machine.now(), 12);
     EXPECT_LE(profile.maxConcurrency(),
               machine.activeLogicalCpus());
     EXPECT_GT(profile.maxConcurrency(), 0u);

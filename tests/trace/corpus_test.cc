@@ -859,8 +859,8 @@ TEST(EtlcCorpus, RotationCoversEveryBlockAnatomyKind)
          {Mutation::Kind::FlipBlockCrc,
           Mutation::Kind::TruncateFinalBlock,
           Mutation::Kind::InflateBlockLength,
-          Mutation::Kind::VarintOverrun, Mutation::Kind::Truncate,
-          Mutation::Kind::BitFlip})
+          Mutation::Kind::VarintOverrun, Mutation::Kind::ForgeCpuCount,
+          Mutation::Kind::Truncate, Mutation::Kind::BitFlip})
         EXPECT_TRUE(seen[static_cast<std::size_t>(kind)])
             << "kind " << static_cast<unsigned>(kind)
             << " missing from the Etlc rotation";
@@ -919,6 +919,117 @@ TEST(EtlcCorpus, EtlcMutantsAreDeterministic)
     FaultInjector b(etlcBytes(), 42, TraceFormat::Etlc);
     for (std::size_t i = 0; i < 32; ++i)
         EXPECT_EQ(a.mutant(i), b.mutant(i)) << "index " << i;
+}
+
+// ---------------------------------------------------------------------
+// A forged header CPU count, in both binary formats.
+// ---------------------------------------------------------------------
+
+/** Body offset of the header's numLogicalCpus varint in @p bytes. */
+std::size_t
+cpuCountOffset(const std::string &bytes)
+{
+    std::size_t pos = 8; // magic
+    for (int field = 0; field < 3; ++field)
+        getVarint(bytes, pos); // version, startTime, stopTime
+    return pos;
+}
+
+TEST(CpuCountHeader, ForgedCountFailsTheHeaderInBothModes)
+{
+    const struct
+    {
+        const char *name;
+        std::string bytes;
+        TraceBundle (*decode)(io::ByteSpan, const ParseOptions &,
+                              IngestReport &);
+        TraceFormat format;
+    } formats[] = {{".etl", etlBytes(), &decodeEtl, TraceFormat::Binary},
+                   {".etlc", etlcBytes(), &decodeEtlc, TraceFormat::Etlc}};
+    // ForgeCpuCount picks its forged value by Mutation::value % 3.
+    const std::uint64_t forged[] = {kMaxLogicalCpus + 1, 1ull << 31,
+                                    (1ull << 32) + 2};
+    for (const auto &format : formats) {
+        // The format's corpus rotation reaches this kind too.
+        FaultInjector injector(format.bytes, 7, format.format);
+        bool rotated = false;
+        for (std::size_t i = 0; i < 16; ++i)
+            rotated = rotated || injector.mutationFor(i).kind ==
+                                     Mutation::Kind::ForgeCpuCount;
+        EXPECT_TRUE(rotated) << format.name;
+
+        std::size_t offset = cpuCountOffset(format.bytes);
+        for (std::uint8_t value = 0; value < 3; ++value) {
+            Mutation m;
+            m.kind = Mutation::Kind::ForgeCpuCount;
+            m.value = value;
+            std::string bytes = FaultInjector::apply(format.bytes, m, 0);
+            ASSERT_NE(bytes, format.bytes);
+            for (ParseMode mode :
+                 {ParseMode::Strict, ParseMode::Lenient}) {
+                SCOPED_TRACE(std::string(format.name) + " count " +
+                             std::to_string(forged[value]) +
+                             (mode == ParseMode::Strict ? " strict"
+                                                        : " lenient"));
+                ParseOptions options;
+                options.mode = mode;
+                options.source = "forged";
+                IngestReport report;
+                TraceBundle bundle =
+                    format.decode(io::ByteSpan(bytes), options, report);
+                EXPECT_FALSE(report.ok());
+                ASSERT_EQ(report.errors.size(), 1u);
+                const ParseError &err = report.errors.front();
+                EXPECT_EQ(err.source, "forged");
+                EXPECT_EQ(err.section, "header");
+                EXPECT_EQ(err.field, "numLogicalCpus");
+                EXPECT_EQ(err.offset, offset);
+                EXPECT_NE(err.reason.find(std::to_string(forged[value])),
+                          std::string::npos)
+                    << err.reason;
+                // Nothing past a bad header is trusted.
+                EXPECT_EQ(bundle.numLogicalCpus, 0u);
+                EXPECT_EQ(bundle.totalEvents(), 0u);
+            }
+        }
+    }
+}
+
+TEST(CpuCountHeader, CapRoundTripsAndWritersRefuseMore)
+{
+    TraceBundle bundle = corpusBundle();
+    bundle.numLogicalCpus = static_cast<std::uint32_t>(kMaxLogicalCpus);
+    std::ostringstream etl, etlc;
+    writeEtl(bundle, etl);
+    writeEtlc(bundle, etlc);
+    const std::string etlText = etl.str(), etlcText = etlc.str();
+    IngestReport report;
+    EXPECT_EQ(decodeEtl(io::ByteSpan(etlText), {}, report).numLogicalCpus,
+              kMaxLogicalCpus);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(
+        decodeEtlc(io::ByteSpan(etlcText), {}, report).numLogicalCpus,
+        kMaxLogicalCpus);
+    EXPECT_TRUE(report.ok()) << report.summary();
+
+    // One past the cap: both writers refuse, naming the header field,
+    // so every trace they write reads back.
+    bundle.numLogicalCpus =
+        static_cast<std::uint32_t>(kMaxLogicalCpus + 1);
+    for (bool columnar : {false, true}) {
+        std::ostringstream out;
+        try {
+            if (columnar)
+                writeEtlc(bundle, out);
+            else
+                writeEtl(bundle, out);
+            ADD_FAILURE() << "writer accepted " << bundle.numLogicalCpus
+                          << " CPUs";
+        } catch (const TraceParseError &e) {
+            EXPECT_EQ(e.error().section, "header");
+            EXPECT_EQ(e.error().field, "numLogicalCpus");
+        }
+    }
 }
 
 } // namespace

@@ -10,12 +10,17 @@
  * line without a newline, more chunks than lines) are pinned
  * explicitly; a fault-injection sweep covers the long tail. decodeEtl
  * decodes its sections serially at every thread count, so its tests
- * pin the mapped reader to the istream one.
+ * pin the mapped reader to the istream one. The TraceFile tests pin
+ * trace::decodeFile — the one open-by-path entry point — to the
+ * direct decoder its sniff rule selects.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,7 +28,9 @@
 #include "trace/corrupt.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
+#include "trace/etlc.hh"
 #include "trace/io.hh"
+#include "trace/open.hh"
 #include "trace/session.hh"
 
 namespace {
@@ -548,6 +555,186 @@ TEST(ParallelIngest, EtlTruncatedFramingFallsBackIdentically)
           std::size_t(11), bytes.size() / 2, bytes.size() - 1}) {
         SCOPED_TRACE("cut " + std::to_string(cut));
         etlDifferential(bytes.substr(0, cut));
+    }
+}
+
+// ---------------------------------------------------------------------
+// trace::decodeFile: the sniff rule and the report it hands back.
+// ---------------------------------------------------------------------
+
+/** @p bytes written to a temp file named @p name; removed after. */
+class TraceFile
+{
+  public:
+    TraceFile(const std::string &name, const std::string &bytes)
+        : path_((std::filesystem::temp_directory_path() /
+                 ("deskpar_decode_file_" + name))
+                    .string())
+    {
+        std::ofstream out(path_, std::ios::binary);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    ~TraceFile() { std::remove(path_.c_str()); }
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+enum class Reader { Csv, Etl, Etlc };
+
+/** Decode @p bytes with one reader directly, as decodeFile would. */
+TraceBundle
+decodeDirect(Reader reader, const std::string &bytes,
+             const ParseOptions &options, IngestReport &report)
+{
+    io::ByteSpan span(bytes);
+    TraceBundle bundle;
+    switch (reader) {
+      case Reader::Csv:
+        report = decodeCpuUsageCsv(span, bundle, options);
+        break;
+      case Reader::Etl:
+        bundle = decodeEtl(span, options, report);
+        break;
+      case Reader::Etlc:
+        bundle = decodeEtlc(span, options, report);
+        break;
+    }
+    return bundle;
+}
+
+/**
+ * decodeFile on a file holding @p bytes under @p name must equal
+ * @p reader run directly on the same bytes, in both modes.
+ */
+void
+expectDecodesAs(const std::string &name, const std::string &bytes,
+                Reader reader)
+{
+    TraceFile file(name, bytes);
+    for (ParseMode mode : {ParseMode::Strict, ParseMode::Lenient}) {
+        SCOPED_TRACE(name + (mode == ParseMode::Strict ? " strict"
+                                                       : " lenient"));
+        ParseOptions options;
+        options.mode = mode;
+        options.source = file.path();
+
+        IngestReport direct;
+        TraceBundle expected =
+            decodeDirect(reader, bytes, options, direct);
+        IngestReport viaFile;
+        std::uint64_t mapped = 0;
+        TraceBundle got =
+            decodeFile(file.path(), options, viaFile, "test", &mapped);
+        EXPECT_EQ(mapped, bytes.size());
+        EXPECT_EQ(viaFile.source, direct.source);
+        EXPECT_EQ(viaFile.mode, direct.mode);
+        expectSameReports(direct, viaFile);
+        expectSameBundles(expected, got);
+    }
+}
+
+std::string
+cpuCsvOf(const TraceBundle &bundle)
+{
+    std::ostringstream out;
+    writeCpuUsageCsv(bundle, out);
+    return out.str();
+}
+
+std::string
+etlOf(const TraceBundle &bundle)
+{
+    std::ostringstream out;
+    writeEtl(bundle, out);
+    return out.str();
+}
+
+std::string
+etlcOf(const TraceBundle &bundle)
+{
+    std::ostringstream out;
+    writeEtlc(bundle, out);
+    return out.str();
+}
+
+TEST(TraceFile, EveryFormatMatchesItsDirectDecoder)
+{
+    TraceBundle bundle = makeBundle(300);
+    const struct
+    {
+        const char *suffix;
+        std::string bytes;
+        Reader reader;
+        TraceFormat format;
+    } formats[] = {
+        {".csv", cpuCsvOf(bundle), Reader::Csv, TraceFormat::Text},
+        {".etl", etlOf(bundle), Reader::Etl, TraceFormat::Binary},
+        {".etlc", etlcOf(bundle), Reader::Etlc, TraceFormat::Etlc},
+    };
+    for (const auto &format : formats) {
+        expectDecodesAs(std::string("clean") + format.suffix,
+                        format.bytes, format.reader);
+        // Damaged files too: the report must be the reader's own,
+        // errors, salvage flag and all.
+        FaultInjector injector(format.bytes, 0x0be7, format.format);
+        for (std::size_t i = 0; i < 12; ++i) {
+            SCOPED_TRACE("mutant " + std::to_string(i) + " (" +
+                         injector.mutationFor(i).describe() + ")");
+            expectDecodesAs("mutant" + std::to_string(i) +
+                                format.suffix,
+                            injector.mutant(i), format.reader);
+        }
+    }
+}
+
+TEST(TraceFile, SuffixBeatsMagicAndMagicBeatsSuffix)
+{
+    TraceBundle bundle = makeBundle(40);
+    const std::string etlc = etlcOf(bundle);
+    // A .csv suffix wins over the .etlc magic: the bytes go to the
+    // CSV reader (and fail there), not to the .etlc reader.
+    expectDecodesAs("magic.csv", etlc, Reader::Csv);
+    // An .etlc image named .etl is still read as .etlc ...
+    expectDecodesAs("columnar.etl", etlc, Reader::Etlc);
+    // ... and anything else without the magic as .etl.
+    expectDecodesAs("plain.trace", etlOf(bundle), Reader::Etl);
+    expectDecodesAs("csvtext.etl", cpuCsvOf(bundle), Reader::Etl);
+
+    ParseOptions options;
+    IngestReport report;
+    TraceFile asCsv("precedence.csv", etlc);
+    decodeFile(asCsv.path(), options, report, "test");
+    EXPECT_FALSE(report.ok());
+    TraceFile asEtl("precedence.etl", etlc);
+    TraceBundle decoded = decodeFile(asEtl.path(), options, report, "test");
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_EQ(decoded.cswitches.size(), bundle.cswitches.size());
+}
+
+TEST(TraceFile, MissingFileErrorNamesTheCaller)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         "deskpar_decode_file_missing.etl")
+            .string();
+    std::remove(path.c_str());
+    for (const char *who : {"replay", "SessionCache", "pack"}) {
+        IngestReport report;
+        try {
+            decodeFile(path, ParseOptions{}, report, who);
+            ADD_FAILURE() << "no error for a missing file";
+        } catch (const deskpar::FatalError &e) {
+            std::string message = e.what();
+            EXPECT_EQ(message.rfind(std::string("fatal: ") + who + ": ",
+                                    0),
+                      0u)
+                << message;
+            EXPECT_NE(message.find(path), std::string::npos) << message;
+        }
     }
 }
 
