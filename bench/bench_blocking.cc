@@ -24,6 +24,7 @@
 
 #include "analysis/blocking.hh"
 #include "bench_util.hh"
+#include "oracle/blocking_legacy.hh"
 
 using namespace deskpar;
 

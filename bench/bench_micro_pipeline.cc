@@ -34,6 +34,7 @@
 #include "apps/registry.hh"
 #include "bench_util.hh"
 #include "obs/obs.hh"
+#include "oracle/analysis_legacy.hh"
 #include "sim/parallel.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
@@ -217,7 +218,7 @@ BM_AnalyzeAppLegacy(benchmark::State &state)
             analysis::legacy::computeConcurrency(bundle, pids);
         metrics.gpu = analysis::legacy::computeGpuUtil(bundle, pids);
         metrics.frames =
-            analysis::legacy::computeFrameStats(bundle, pids);
+            analysis::detail::sweepFrameStats(bundle, pids);
         benchmark::DoNotOptimize(metrics.tlp());
     }
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "oracle/analysis_legacy.hh"
 
 using namespace deskpar;
 

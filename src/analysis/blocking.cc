@@ -22,163 +22,6 @@ using trace::Tid;
 
 namespace {
 
-using Key = std::pair<Pid, Tid>;
-
-struct EdgeAgg
-{
-    std::uint64_t count = 0;
-    std::uint64_t waitNs = 0;
-};
-
-struct ChainState
-{
-    std::uint64_t chainNs = 0;
-    std::uint64_t links = 0;
-    Key prev{0, 0};
-    bool hasPrev = false;
-};
-
-/**
- * The stream-wide totals and extent either sweep hands to
- * finishReport.
- */
-struct StreamTotals
-{
-    std::uint64_t totalRunNs = 0;
-    std::uint64_t totalWaitNs = 0;
-    /** Target switch-ins. */
-    std::uint64_t dispatches = 0;
-    /**
-     * Observed stream extent and CPU population — the fallback
-     * window when the bundle header is empty (bare CPU-Usage CSVs
-     * carry no startTime/stopTime/numLogicalCpus).
-     */
-    SimTime minTs = 0;
-    SimTime maxTs = 0;
-    std::size_t cpusSeen = 0;
-    bool sawEvents = false;
-
-    void
-    observe(SimTime ts)
-    {
-        if (!sawEvents) {
-            minTs = ts;
-            maxTs = ts;
-            sawEvents = true;
-        } else {
-            minTs = std::min(minTs, ts);
-            maxTs = std::max(maxTs, ts);
-        }
-    }
-};
-
-/**
- * Everything one pass of the reference sweep yields, in ordered maps
- * keyed by (pid, tid). The per-thread wait folds are not done here:
- * the wait samples stay a flat stream-ordered vector that
- * legacy::analyze folds afterwards.
- */
-struct SweepResult : StreamTotals
-{
-    std::map<Key, std::uint64_t> runNs;
-    std::map<Key, std::uint64_t> blockedNs;
-    std::map<std::pair<Key, Key>, EdgeAgg> edges;
-    std::map<Key, ChainState> chains;
-    /** (thread, wait ns) per target switch-in, stream order. */
-    std::vector<std::pair<Key, std::uint64_t>> waitSamples;
-};
-
-/**
- * The reference chain sweep: a per-CPU running-thread state machine
- * over the cswitch stream, every per-thread aggregate in an ordered
- * map. The serialization chain is a DP whose order matters, so it is
- * sequential; DenseSweep below is the same machine over dense ids.
- */
-void
-sweep(const trace::TraceBundle &bundle, const trace::PidSet &pids,
-      SweepResult &r)
-{
-    auto target = [&pids](Pid pid, Tid tid) {
-        (void)tid;
-        if (pid == 0)
-            return false;
-        return pids.empty() || pids.count(pid) != 0;
-    };
-
-    struct Occupant
-    {
-        Pid pid = 0;
-        Tid tid = 0;
-        SimTime since = 0;
-        bool valid = false;
-    };
-    // Ordered so the end-of-stream close below visits CPUs
-    // deterministically.
-    std::map<trace::CpuId, Occupant> cpus;
-
-    auto closeSegment = [&r, &target](const Occupant &occ,
-                                      SimTime now) {
-        // Disordered streams can invert a segment; drop it rather
-        // than wrap the unsigned subtraction.
-        if (!occ.valid || now <= occ.since)
-            return;
-        if (!target(occ.pid, occ.tid))
-            return;
-        std::uint64_t seg = now - occ.since;
-        Key key{occ.pid, occ.tid};
-        r.runNs[key] += seg;
-        r.totalRunNs += seg;
-        r.chains[key].chainNs += seg;
-    };
-
-    for (const auto &e : bundle.cswitches) {
-        r.observe(e.timestamp);
-        Occupant &occ = cpus[e.cpu];
-        closeSegment(occ, e.timestamp);
-
-        if (target(e.newPid, e.newTid)) {
-            // Readers clamp inverted ready times; clamp again so a
-            // hand-built bundle cannot wrap the wait.
-            SimTime ready = std::min(e.readyTime, e.timestamp);
-            std::uint64_t wait = e.timestamp - ready;
-            Key to{e.newPid, e.newTid};
-            r.waitSamples.emplace_back(to, wait);
-            r.totalWaitNs += wait;
-            if (e.oldPid != 0 && target(e.oldPid, e.oldTid)) {
-                // The wakeup edge: old held this CPU for the tail of
-                // the wait, so the chain may continue through it.
-                Key from{e.oldPid, e.oldTid};
-                EdgeAgg &edge = r.edges[{from, to}];
-                ++edge.count;
-                edge.waitNs += wait;
-                r.blockedNs[from] += wait;
-                ChainState &fromChain = r.chains[from];
-                ChainState &toChain = r.chains[to];
-                if (fromChain.chainNs > toChain.chainNs) {
-                    toChain.chainNs = fromChain.chainNs;
-                    toChain.links = fromChain.links + 1;
-                    toChain.prev = from;
-                    toChain.hasPrev = true;
-                }
-            }
-        }
-
-        if (e.newPid == 0) {
-            occ.valid = false;
-        } else {
-            occ = Occupant{e.newPid, e.newTid, e.timestamp, true};
-        }
-    }
-
-    // Threads still on a CPU when the trace stops: their final
-    // segment runs to the observation-window end (the header's if it
-    // has one, else the last timestamp the stream showed us).
-    SimTime stop = std::max(bundle.stopTime, r.maxTs);
-    for (const auto &[cpu, occ] : cpus)
-        closeSegment(occ, stop);
-    r.cpusSeen = cpus.size();
-}
-
 std::string
 threadName(const trace::TraceBundle &bundle, Pid pid)
 {
@@ -188,12 +31,10 @@ threadName(const trace::TraceBundle &bundle, Pid pid)
     return "pid" + std::to_string(pid);
 }
 
-/**
- * The window, totals and sorted row and edge lists of a report —
- * shared by both sweeps, and pure integer/string work. Rows and edges
- * are sorted on total orders, so the order they arrive in is
- * irrelevant.
- */
+} // namespace
+
+namespace detail {
+
 void
 finishReport(const trace::TraceBundle &bundle, const StreamTotals &r,
              std::vector<ThreadBlocking> rows,
@@ -253,66 +94,13 @@ makeEdge(Key from, Key to, const EdgeAgg &agg)
     return edge;
 }
 
-/** The critical path is the chain backwalk, capped at this many hops. */
-constexpr std::size_t kMaxPathHops = 64;
+} // namespace detail
 
-/**
- * Critical path of the reference sweep: the thread whose chain is
- * longest; ties resolve to the lowest (pid, tid) by map order. The
- * predecessor pointers summarize a DP whose state mutates as the
- * sweep advances, so the backwalk is a bounded summary, not an exact
- * segment list.
- */
-void
-legacyCriticalPath(const SweepResult &r, BlockingReport &report)
-{
-    Key best{0, 0};
-    const ChainState *bestChain = nullptr;
-    for (const auto &[key, chain] : r.chains) {
-        if (!bestChain || chain.chainNs > bestChain->chainNs) {
-            best = key;
-            bestChain = &chain;
-        }
-    }
-    if (bestChain && bestChain->chainNs > 0) {
-        report.criticalPathNs = bestChain->chainNs;
-        report.criticalPathSwitches = bestChain->links;
-        std::vector<CriticalPathHop> hops;
-        Key cur = best;
-        for (std::size_t i = 0; i < kMaxPathHops; ++i) {
-            hops.push_back(CriticalPathHop{cur.first, cur.second});
-            auto it = r.chains.find(cur);
-            if (it == r.chains.end() || !it->second.hasPrev)
-                break;
-            cur = it->second.prev;
-        }
-        std::reverse(hops.begin(), hops.end());
-        report.criticalPath = std::move(hops);
-    }
-}
+namespace {
 
-std::uint64_t
-lookupNs(const std::map<Key, std::uint64_t> &map, Key key)
-{
-    auto it = map.find(key);
-    return it == map.end() ? 0 : it->second;
-}
-
-/** Sorted distinct thread keys the reference report has rows for. */
-std::vector<Key>
-threadKeys(const SweepResult &r)
-{
-    std::vector<Key> keys;
-    for (const auto &[key, ns] : r.runNs)
-        keys.push_back(key);
-    for (const auto &[key, ns] : r.blockedNs)
-        keys.push_back(key);
-    for (const auto &[key, wait] : r.waitSamples)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    return keys;
-}
+using detail::EdgeAgg;
+using detail::Key;
+using detail::kMaxPathHops;
 
 constexpr std::uint32_t kNone = ~static_cast<std::uint32_t>(0);
 
@@ -330,15 +118,17 @@ packPair(std::uint32_t hi, std::uint32_t lo)
 }
 
 /**
- * The reference sweep's state machine over dense thread ids. Each
- * target (pid, tid) is interned once, on the switch that first names
- * it; every per-thread fold then lives in one vector slot, the
- * per-CPU occupants in a flat vector, and the wakeup edges in a
- * vector keyed by the packed pair of dense ids. A thread is interned
- * exactly when the reference sweep would give it a row (a target
- * switch-in, or a target predecessor of one), and every fold is an
- * integer sum or maximum, so the report is equal to the reference's
- * once finish() sorts the ids by (pid, tid).
+ * The chain sweep: a per-CPU running-thread state machine over the
+ * cswitch stream, on dense thread ids. The serialization chain is a
+ * DP whose order matters, so it is sequential. Each target (pid, tid)
+ * is interned once, on the switch that first names it; every
+ * per-thread fold then lives in one vector slot, the per-CPU
+ * occupants in a flat vector, and the wakeup edges in a vector keyed
+ * by the packed pair of dense ids. A thread is interned exactly when
+ * it gets a report row (a target switch-in, or a target predecessor
+ * of one), and every fold is an integer sum or maximum, so the report
+ * equals the test oracle's ordered-map sweep once finish() sorts the
+ * ids by (pid, tid).
  */
 class DenseSweep
 {
@@ -396,15 +186,18 @@ class DenseSweep
         std::vector<WakeupEdge> edges;
         edges.reserve(edges_.size());
         for (const Edge &e : edges_)
-            edges.push_back(makeEdge(threads_[e.from].key,
+            edges.push_back(detail::makeEdge(threads_[e.from].key,
                                      threads_[e.to].key, e.agg));
 
         BlockingReport report;
-        finishReport(bundle_, totals_, std::move(rows),
+        detail::finishReport(bundle_, totals_, std::move(rows),
                      std::move(edges), report);
 
         // The longest chain; ties resolve to the lowest (pid, tid),
-        // as the reference's map order does.
+        // as the oracle's map order does. The predecessor pointers
+        // summarize a DP whose state mutates as the sweep advances,
+        // so the backwalk is a bounded summary, not an exact segment
+        // list.
         std::uint32_t best = kNone;
         for (std::uint32_t id : order) {
             if (best == kNone ||
@@ -555,13 +348,13 @@ class DenseSweep
 
     const trace::TraceBundle &bundle_;
     const trace::PidSet &pids_;
-    StreamTotals totals_;
+    detail::StreamTotals totals_;
     std::vector<Thread> threads_;
     std::unordered_map<std::uint64_t, std::uint32_t> threadIds_;
-    detail::TargetMemo threadMemo_;
+    analysis::detail::TargetMemo threadMemo_;
     std::vector<Edge> edges_;
     std::unordered_map<std::uint64_t, std::uint32_t> edgeIds_;
-    detail::TargetMemo edgeMemo_;
+    analysis::detail::TargetMemo edgeMemo_;
     std::vector<Occupant> flat_;
     /** CPU ids at or past kMaxFlatCpus. */
     std::map<trace::CpuId, Occupant> overflow_;
@@ -596,58 +389,6 @@ BlockingReport::classification() const
     return bottleneckLimited() ? "bottleneck-limited"
                                : "structurally serial";
 }
-
-namespace legacy {
-
-BlockingReport
-analyze(const trace::TraceBundle &bundle, const trace::PidSet &pids)
-{
-    SweepResult r;
-    sweep(bundle, pids, r);
-
-    // Inline sequential fold: one ordered map, stream-order adds.
-    struct WaitAgg
-    {
-        std::uint64_t waitNs = 0;
-        std::uint64_t maxWaitNs = 0;
-        std::uint64_t dispatches = 0;
-    };
-    std::map<Key, WaitAgg> waits;
-    for (const auto &[key, wait] : r.waitSamples) {
-        WaitAgg &agg = waits[key];
-        agg.waitNs += wait;
-        agg.maxWaitNs = std::max(agg.maxWaitNs, wait);
-        ++agg.dispatches;
-    }
-
-    std::vector<ThreadBlocking> rows;
-    for (Key key : threadKeys(r)) {
-        ThreadBlocking row;
-        row.pid = key.first;
-        row.tid = key.second;
-        row.runNs = lookupNs(r.runNs, key);
-        row.blockedNs = lookupNs(r.blockedNs, key);
-        auto it = waits.find(key);
-        if (it != waits.end()) {
-            row.waitNs = it->second.waitNs;
-            row.maxWaitNs = it->second.maxWaitNs;
-            row.dispatches = it->second.dispatches;
-        }
-        rows.push_back(std::move(row));
-    }
-    std::vector<WakeupEdge> edges;
-    edges.reserve(r.edges.size());
-    for (const auto &[key, agg] : r.edges)
-        edges.push_back(makeEdge(key.first, key.second, agg));
-
-    r.dispatches = r.waitSamples.size();
-    BlockingReport report;
-    finishReport(bundle, r, std::move(rows), std::move(edges), report);
-    legacyCriticalPath(r, report);
-    return report;
-}
-
-} // namespace legacy
 
 BlockingReport
 analyze(const TraceIndex &index, const trace::PidSet &pids,

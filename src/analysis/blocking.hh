@@ -28,10 +28,10 @@
  *    criticalPathNs / window ("serial fraction") says how much of
  *    the wall clock one such chain alone covers.
  *
- * Everything is summed in integer nanoseconds, so the fused path
- * (blocking::analyze over a Session/TraceIndex: the same sweep over
- * dense thread ids, every per-thread fold inline) is bit-identical to
- * the map-based reference (blocking::legacy::analyze) at any
+ * Everything is summed in integer nanoseconds, so analyze (one sweep
+ * over dense thread ids, every per-thread fold inline) is
+ * bit-identical to the map-based reference sweep kept in the
+ * test-only oracle library (tests/oracle/blocking_legacy.hh) at any
  * DESKPAR_JOBS — the differential tests assert EXPECT_EQ on whole
  * reports.
  *
@@ -43,8 +43,10 @@
 #ifndef DESKPAR_ANALYSIS_BLOCKING_HH
 #define DESKPAR_ANALYSIS_BLOCKING_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/filter.hh"
@@ -157,26 +159,79 @@ struct BlockingReport
     const char *classification() const;
 };
 
-namespace legacy {
+namespace detail {
+
+using Key = std::pair<trace::Pid, trace::Tid>;
+
+/** One wakeup edge's folds. */
+struct EdgeAgg
+{
+    std::uint64_t count = 0;
+    std::uint64_t waitNs = 0;
+};
 
 /**
- * The sequential reference: one straight sweep of bundle.cswitches,
- * per-thread aggregates accumulated inline in ordered maps. This is
- * what the fused path is differentially tested against.
+ * The stream-wide totals and extent a chain sweep hands to
+ * finishReport.
  */
-BlockingReport analyze(const trace::TraceBundle &bundle,
-                       const trace::PidSet &pids);
+struct StreamTotals
+{
+    std::uint64_t totalRunNs = 0;
+    std::uint64_t totalWaitNs = 0;
+    /** Target switch-ins. */
+    std::uint64_t dispatches = 0;
+    /**
+     * Observed stream extent and CPU population — the fallback
+     * window when the bundle header is empty (bare CPU-Usage CSVs
+     * carry no startTime/stopTime/numLogicalCpus).
+     */
+    sim::SimTime minTs = 0;
+    sim::SimTime maxTs = 0;
+    std::size_t cpusSeen = 0;
+    bool sawEvents = false;
 
-} // namespace legacy
+    void
+    observe(sim::SimTime ts)
+    {
+        if (!sawEvents) {
+            minTs = ts;
+            maxTs = ts;
+            sawEvents = true;
+        } else {
+            minTs = std::min(minTs, ts);
+            maxTs = std::max(maxTs, ts);
+        }
+    }
+};
+
+/** The critical path is the chain backwalk, capped at this many hops. */
+inline constexpr std::size_t kMaxPathHops = 64;
+
+/** The report's edge row for @p agg on from -> to. */
+WakeupEdge makeEdge(Key from, Key to, const EdgeAgg &agg);
 
 /**
- * The fused path: the same deterministic chain sweep over the
- * index's bundle, with each target (pid, tid) interned once to a
- * dense id so every per-thread fold, CPU occupant and wakeup edge is
- * a vector slot instead of an ordered-map node. The folds are integer
- * sums and maxima done inline, so the report is EXPECT_EQ-identical
- * to legacy::analyze; the sweep is sequential, so @p threads (kept
- * for the callers' job plumbing) does not change it.
+ * The window, totals, names and sorted row and edge lists of a
+ * report — pure integer/string work. Rows and edges are sorted on
+ * total orders, so the order they arrive in is irrelevant; the
+ * map-based reference sweep of the test oracle shares this with
+ * analyze.
+ */
+void finishReport(const trace::TraceBundle &bundle,
+                  const StreamTotals &totals,
+                  std::vector<ThreadBlocking> rows,
+                  std::vector<WakeupEdge> edges, BlockingReport &report);
+
+} // namespace detail
+
+/**
+ * The chain sweep over the index's bundle, with each target
+ * (pid, tid) interned once to a dense id so every per-thread fold,
+ * CPU occupant and wakeup edge is a vector slot instead of an
+ * ordered-map node. The folds are integer sums and maxima done
+ * inline, so the report is EXPECT_EQ-identical to the oracle's map
+ * sweep; the sweep is sequential, so @p threads (kept for the
+ * callers' job plumbing) does not change it.
  */
 BlockingReport analyze(const TraceIndex &index,
                        const trace::PidSet &pids,

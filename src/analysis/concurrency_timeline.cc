@@ -286,31 +286,43 @@ finishColumns(const ColumnNeeds &needs, PendingColumns &pending)
     tl.usable = true;
 
     // Checkpoint rows: running per-level time at every kStride-th
-    // breakpoint. Integer sums, so checkpoint differences decompose
-    // a window exactly.
+    // breakpoint, one entry per level up to the highest one reached.
+    // Integer sums, so checkpoint differences decompose a window
+    // exactly.
     const unsigned cutoff = tl.cutoff;
-    const std::size_t L = cutoff + 1;
+    auto clampLvl = [cutoff](int l) {
+        return static_cast<unsigned>(
+            std::clamp(l, 0, static_cast<int>(cutoff)));
+    };
     const std::size_t n = tl.times.size();
-    if (n == 0)
-        return;
-    const std::size_t rows =
-        (n - 1) / ConcurrencyTimeline::kStride + 1;
-    tl.cum.assign(rows * L, 0);
-    std::vector<SimDuration> acc(L, 0);
+    const std::size_t W = checkpointWidth(tl.levels, cutoff);
+    tl.width = W;
+    tl.cum.assign(checkpointRows(n) * W, 0);
+    std::vector<SimDuration> acc(W, 0);
     for (std::size_t j = 0; j < n; ++j) {
         if (j % ConcurrencyTimeline::kStride == 0) {
             std::copy(acc.begin(), acc.end(),
                       tl.cum.begin() +
                           static_cast<std::ptrdiff_t>(
                               (j / ConcurrencyTimeline::kStride) *
-                              L));
+                              W));
         }
-        if (j + 1 < n) {
-            auto lvl = static_cast<unsigned>(std::clamp(
-                tl.levels[j], 0, static_cast<int>(cutoff)));
-            acc[lvl] += tl.times[j + 1] - tl.times[j];
-        }
+        if (j + 1 < n)
+            acc[clampLvl(tl.levels[j])] += tl.times[j + 1] - tl.times[j];
     }
+}
+
+std::size_t
+checkpointWidth(const std::vector<int> &levels, unsigned cutoff)
+{
+    if (levels.empty())
+        return 0;
+    int top = 0;
+    for (int level : levels)
+        top = std::max(top, level);
+    return static_cast<std::size_t>(
+               std::min(top, static_cast<int>(cutoff))) +
+           1;
 }
 
 ConcurrencyProfile
@@ -320,6 +332,7 @@ queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
     constexpr std::size_t kStride = ConcurrencyTimeline::kStride;
     const unsigned num_cpus = tl.cutoff;
     const std::size_t L = num_cpus + 1;
+    const std::size_t W = tl.width;
 
     ConcurrencyProfile profile;
     profile.numCpus = num_cpus;
@@ -364,9 +377,9 @@ queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
                     }
                 }
                 if (k2 > k1) {
-                    const SimDuration *a = &tl.cum[k1 * L];
-                    const SimDuration *b = &tl.cum[k2 * L];
-                    for (std::size_t l = 0; l < L; ++l)
+                    const SimDuration *a = &tl.cum[k1 * W];
+                    const SimDuration *b = &tl.cum[k2 * W];
+                    for (std::size_t l = 0; l < W; ++l)
                         timeAt[l] += b[l] - a[l];
                     j = k2 * kStride;
                     continue;
@@ -393,7 +406,7 @@ queryConcurrencyTimeline(const ConcurrencyTimeline &tl, SimTime t0,
 ConcurrencyProfile
 sweepConcurrency(const trace::TraceBundle &bundle,
                  const TimelineSpec &spec, SimTime t0, SimTime t1,
-                 unsigned num_cpus, bool emit_warning)
+                 unsigned num_cpus)
 {
     // Sweep the per-CPU run timelines into +1/-1 deltas at the times
     // a target thread starts/stops occupying a CPU. A flat sorted
@@ -446,8 +459,7 @@ sweepConcurrency(const trace::TraceBundle &bundle,
     for (const auto &[ts, delta] : deltas) {
         if (ts > prev) {
             if (level < 0)
-                deskpar::panic(
-                    "computeConcurrency: negative concurrency");
+                deskpar::panic("concurrency: negative level");
             auto lvl = static_cast<unsigned>(std::clamp(
                 level, 0, static_cast<int>(num_cpus)));
             timeAt[lvl] += ts - prev;
@@ -456,20 +468,32 @@ sweepConcurrency(const trace::TraceBundle &bundle,
         level += delta;
     }
     if (level < 0)
-        deskpar::panic("computeConcurrency: negative concurrency");
+        deskpar::panic("concurrency: negative level");
     if (t1 > prev) {
         auto lvl = static_cast<unsigned>(
             std::clamp(level, 0, static_cast<int>(num_cpus)));
         timeAt[lvl] += t1 - prev;
     }
 
-    if (out_of_range > 0 && emit_warning)
-        detail::warnOutOfRangeCpus(out_of_range, num_cpus);
-
     double window = static_cast<double>(profile.window);
     for (unsigned i = 0; i <= num_cpus; ++i)
         profile.c[i] = static_cast<double>(timeAt[i]) / window;
     return profile;
+}
+
+ConcurrencyProfile
+windowedConcurrency(const trace::TraceBundle &bundle,
+                    const TimelineSpec &spec,
+                    const ConcurrencyTimeline &timeline, SimTime t0,
+                    SimTime t1)
+{
+    if (bundle.numLogicalCpus == 0)
+        deskpar::fatal("concurrency: unknown CPU count");
+    if (t1 <= t0)
+        deskpar::fatal("concurrency: empty window");
+    if (timeline.usable)
+        return queryConcurrencyTimeline(timeline, t0, t1);
+    return sweepConcurrency(bundle, spec, t0, t1, bundle.numLogicalCpus);
 }
 
 } // namespace deskpar::analysis::detail

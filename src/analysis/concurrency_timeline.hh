@@ -9,7 +9,8 @@
  * and query algorithms live here, parameterized by a TimelineSpec.
  * With the default spec (no tid, all cpus) the builder reproduces the
  * original TraceIndex sweep event for event, which is what keeps the
- * index-backed queries bit-identical to analysis::legacy.
+ * index-backed queries bit-identical to the direct-sweep references
+ * of the test oracle (tests/oracle/analysis_legacy.hh).
  *
  * The builder can additionally collect, in the same single pass:
  *  - the sorted switch-in (dispatch) column, used by responsiveness
@@ -91,15 +92,18 @@ isTargetSwitch(const TimelineSpec &spec, trace::Pid pid, trace::Tid tid)
  * levels.back() extends past the last breakpoint. Zero-net groups of
  * equal-timestamp deltas are dropped, so consecutive levels differ.
  *
- * cum holds strided checkpoint rows of kStride segments:
- * cum[k*(cutoff+1) + l] is the (integer) time spent at clamped level
- * l over [times[0], times[k*kStride]). A windowed query therefore
- * costs two binary searches, one checkpoint-row difference, and at
- * most kStride edge segments per side.
+ * cum holds strided checkpoint rows of kStride segments, each row
+ * width entries wide: cum[k*width + l] is the (integer) time spent at
+ * clamped level l over [times[0], times[k*kStride]). width is the
+ * highest clamped level the timeline reaches plus one, so the rows
+ * cost what the trace uses, not what its header CPU count (cutoff)
+ * allows. A windowed query therefore costs two binary searches, one
+ * checkpoint-row difference, and at most kStride edge segments per
+ * side.
  *
  * usable is false when the stream cannot be represented faithfully:
  * the header reports zero CPUs, or disorder produced a negative
- * cumulative level (whether the legacy sweep panics on such a trace
+ * cumulative level (whether the direct sweep panics on such a trace
  * depends on the queried window, so those queries take the sweep
  * path verbatim).
  */
@@ -112,8 +116,25 @@ struct ConcurrencyTimeline
     std::uint64_t outOfRangeCpuEvents = 0;
     std::vector<sim::SimTime> times;
     std::vector<int> levels;
+    std::size_t width = 0;
     std::vector<sim::SimDuration> cum;
 };
+
+/** Checkpoint rows of a timeline with @p breakpoints breakpoints. */
+inline std::size_t
+checkpointRows(std::size_t breakpoints)
+{
+    return breakpoints == 0
+               ? 0
+               : (breakpoints - 1) / ConcurrencyTimeline::kStride + 1;
+}
+
+/**
+ * Checkpoint row width of a level column under ceiling @p cutoff:
+ * the highest clamped level plus one (0 for no breakpoints).
+ */
+std::size_t checkpointWidth(const std::vector<int> &levels,
+                            unsigned cutoff);
 
 /**
  * Per-CPU busy bursts of one filter: each interval is one contiguous
@@ -253,29 +274,38 @@ void finishColumns(const ColumnNeeds &needs, PendingColumns &pending);
 
 /**
  * Windowed histogram from a usable timeline. Bit-identical to the
- * reference sweep: the time-at-level decomposition is the same
- * integer sum split differently, and the single divide-by-window per
- * level is the only floating-point operation.
+ * direct sweep: the time-at-level decomposition is the same integer
+ * sum split differently, and the single divide-by-window per level is
+ * the only floating-point operation.
  */
 ConcurrencyProfile queryConcurrencyTimeline(
     const ConcurrencyTimeline &timeline, sim::SimTime t0,
     sim::SimTime t1);
 
 /**
- * The direct single-sweep concurrency histogram, generalized over
- * TimelineSpec. With the default spec this is exactly the
- * analysis::legacy::computeConcurrency body (which now wraps it);
- * @p emit_warning false suppresses the out-of-range-cpu Diagnostic so
- * batch callers can dedupe it per trace (the count still lands in
- * ConcurrencyProfile::outOfRangeCpuEvents). @p num_cpus must be
- * resolved (nonzero) and the window non-empty; callers keep the
- * legacy fatal checks.
+ * The direct single-sweep concurrency histogram of @p spec over
+ * [@p t0, @p t1) with @p num_cpus levels (nonzero; the window must be
+ * non-empty). Panics on a negative level, which only a disordered
+ * stream produces. Emits no out-of-range-cpu warning; the count is
+ * in ConcurrencyProfile::outOfRangeCpuEvents.
  */
 ConcurrencyProfile sweepConcurrency(const trace::TraceBundle &bundle,
                                     const TimelineSpec &spec,
                                     sim::SimTime t0, sim::SimTime t1,
-                                    unsigned num_cpus,
-                                    bool emit_warning);
+                                    unsigned num_cpus);
+
+/**
+ * The one windowed concurrency evaluation, behind
+ * TraceIndex::concurrency and the query planner's TLP and busy rows:
+ * fatal when @p bundle has no CPU count or the window is empty; then
+ * @p timeline (the columns of @p spec) answers when it is usable,
+ * and otherwise — a disordered stream poisoned it — the direct sweep
+ * of @p spec does, panics and all.
+ */
+ConcurrencyProfile windowedConcurrency(
+    const trace::TraceBundle &bundle, const TimelineSpec &spec,
+    const ConcurrencyTimeline &timeline, sim::SimTime t0,
+    sim::SimTime t1);
 
 } // namespace deskpar::analysis::detail
 

@@ -7,10 +7,10 @@
 
 namespace deskpar::analysis {
 
-namespace legacy {
+namespace detail {
 
 FrameStats
-computeFrameStats(const TraceBundle &bundle, const PidSet &pids)
+sweepFrameStats(const TraceBundle &bundle, const PidSet &pids)
 {
     FrameStats stats;
     std::vector<sim::SimTime> times;
@@ -57,6 +57,6 @@ computeFrameStats(const TraceBundle &bundle, const PidSet &pids)
     return stats;
 }
 
-} // namespace legacy
+} // namespace detail
 
 } // namespace deskpar::analysis

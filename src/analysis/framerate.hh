@@ -38,17 +38,17 @@ struct FrameStats
     }
 };
 
-namespace legacy {
+namespace detail {
 
 /**
- * Frame statistics for @p pids (empty = all), by a direct single
- * sweep — the bit-identical reference for (and backing store of)
- * the index-cached path (Session::frameStats).
+ * Frame statistics for @p pids (empty = all), by one sweep of the
+ * frame stream. The index caches the result per pid set
+ * (Session::frameStats); this is the only implementation.
  */
-FrameStats computeFrameStats(const TraceBundle &bundle,
-                             const PidSet &pids);
+FrameStats sweepFrameStats(const TraceBundle &bundle,
+                           const PidSet &pids);
 
-} // namespace legacy
+} // namespace detail
 
 } // namespace deskpar::analysis
 

@@ -1,7 +1,6 @@
 #include "analysis/gpu_util.hh"
 
 #include "analysis/intervals.hh"
-#include "sim/logging.hh"
 
 namespace deskpar::analysis {
 
@@ -37,26 +36,5 @@ foldGpuPackets(const TraceBundle &bundle, const PidSet &pids,
 }
 
 } // namespace detail
-
-namespace legacy {
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids,
-               sim::SimTime t0, sim::SimTime t1)
-{
-    if (t1 <= t0)
-        deskpar::fatal("computeGpuUtil: empty window");
-    return detail::foldGpuPackets(bundle, pids, t0, t1, 0,
-                                  bundle.gpuPackets.size());
-}
-
-GpuUtilization
-computeGpuUtil(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeGpuUtil(bundle, pids, bundle.startTime,
-                          bundle.stopTime);
-}
-
-} // namespace legacy
 
 } // namespace deskpar::analysis

@@ -55,32 +55,15 @@ struct GpuUtilization
     }
 };
 
-namespace legacy {
-
-/**
- * GPU utilization over [@p t0, @p t1) for processes in @p pids
- * (empty set = all processes), by a direct full scan — the
- * bit-identical reference for the index-backed path
- * (Session::gpuUtil).
- */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids, sim::SimTime t0,
-                              sim::SimTime t1);
-
-/** Convenience: whole-bundle window. */
-GpuUtilization computeGpuUtil(const TraceBundle &bundle,
-                              const PidSet &pids);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
  * Fold gpuPackets[first, last) into a GpuUtilization over
- * [@p t0, @p t1), in stream order. Shared by the legacy scan
- * (first=0, last=size) and the index's candidate-range query, so the
- * floating-point accumulation order — and hence the result — is the
- * same in both: packets clamped to nothing contribute no terms.
+ * [@p t0, @p t1), in stream order. The index folds its candidate
+ * range through this, and the test oracle's full scan folds
+ * [0, size), so the floating-point accumulation order — and hence
+ * the result — is the same in both: packets clamped to nothing
+ * contribute no terms.
  */
 GpuUtilization foldGpuPackets(const TraceBundle &bundle,
                               const PidSet &pids, sim::SimTime t0,

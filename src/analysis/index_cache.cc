@@ -20,7 +20,8 @@ namespace {
 const char kDpidxMagic[8] = {'D', 'P', 'I', 'D', 'X', '\x01',
                              '\x00', '\x00'};
 
-constexpr std::uint64_t kDpidxVersion = 1;
+/** Bumped with the embedded columns blob's version. */
+constexpr std::uint64_t kDpidxVersion = 2;
 
 /** Bytes of the trace file the identity hash covers. */
 constexpr std::size_t kHeaderHashBytes = std::size_t(64) << 10;
@@ -107,8 +108,8 @@ saveIndexCache(const Session &session, const std::string &tracePath,
 
     std::string columns = session.index().serializeColumns();
     if (columns.empty()) {
-        error = "index is not cacheable (queries fall back to the "
-                "legacy sweep)";
+        error = "index is not cacheable (a disordered stream's "
+                "queries take the direct sweep)";
         return false;
     }
 
@@ -292,8 +293,10 @@ openSession(const std::string &tracePath, const OpenOptions &options)
     trace::ParseOptions popts = options.parse;
     if (popts.source.empty())
         popts.source = tracePath;
-    result.session = std::make_unique<Session>(trace::decodeFile(
-        tracePath, popts, result.report, "openSession"));
+    trace::TraceBundle bundle =
+        trace::decodeFile(tracePath, popts, result.report, "openSession");
+    trace::checkIngest(result.report);
+    result.session = std::make_unique<Session>(std::move(bundle));
     result.session->index().warm(PidSet{});
     for (const std::string &prefix : options.prefixes)
         result.session->index().warm(result.session->pids(prefix));

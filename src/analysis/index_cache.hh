@@ -84,8 +84,8 @@ std::string indexCachePath(const std::string &tracePath);
  * the pid sets it wants servable (TraceIndex::warm); only built
  * columns are spilled. Returns false with @p error set when the
  * trace identity cannot be probed, the index is not cacheable
- * (legacy-fallback timeline), the bundle fails .etlc encoding
- * validation, or the file cannot be written.
+ * (a disordered stream's sweep-fallback timeline), the bundle fails
+ * .etlc encoding validation, or the file cannot be written.
  */
 bool saveIndexCache(const Session &session,
                     const std::string &tracePath, std::string &error);
@@ -134,8 +134,10 @@ struct OpenResult
  * cache is valid and covers every requested pid set, else cold —
  * mmap + format-sniffed ingest (.csv suffix, .etlc magic, .etl
  * otherwise), warm the requested sets, and refresh the cache.
- * Throws FatalError when the trace file itself cannot be opened;
- * ingest defects are reported via OpenResult::report (check ok()).
+ * Throws FatalError when the trace file itself cannot be opened and
+ * TraceParseError when the ingest rejects it (trace::checkIngest);
+ * a degraded lenient ingest is reported via OpenResult::report
+ * (check ok()).
  */
 OpenResult openSession(const std::string &tracePath,
                        const OpenOptions &options = {});

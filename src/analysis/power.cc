@@ -3,7 +3,6 @@
 #include <map>
 #include <vector>
 
-#include "analysis/gpu_util.hh"
 #include "analysis/intervals.hh"
 
 namespace deskpar::analysis {
@@ -85,25 +84,5 @@ powerFromBusyIntervals(
 }
 
 } // namespace detail
-
-namespace legacy {
-
-PowerEstimate
-estimatePower(const trace::TraceBundle &bundle,
-              const sim::CpuSpec &cpu, const sim::GpuSpec &gpu)
-{
-    PowerEstimate out;
-    out.seconds = sim::toSeconds(bundle.duration());
-    if (bundle.duration() == 0)
-        return out;
-
-    GpuUtilization util =
-        legacy::computeGpuUtil(bundle, trace::PidSet{});
-    return detail::powerFromBusyIntervals(
-        detail::cpuBusyIntervals(bundle), out.seconds,
-        util.busyRatio, cpu, gpu);
-}
-
-} // namespace legacy
 
 } // namespace deskpar::analysis

@@ -51,33 +51,21 @@ struct PowerEstimate
     }
 };
 
-namespace legacy {
-
-/**
- * Average power over the whole bundle window; all processes
- * contribute (power is a machine-level quantity). The direct
- * implementation — the bit-identical reference for the index-backed
- * path (Session::power).
- */
-PowerEstimate estimatePower(const trace::TraceBundle &bundle,
-                            const sim::CpuSpec &cpu,
-                            const sim::GpuSpec &gpu);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
  * Per-logical-CPU busy intervals reconstructed from the context-
  * switch stream (any non-idle pid counts; power is machine-level).
- * Shared by the legacy estimator and the index's cached column.
+ * The index caches them as its per-CPU busy column.
  */
 std::map<trace::CpuId, std::vector<Interval>>
 cpuBusyIntervals(const trace::TraceBundle &bundle);
 
 /**
- * The spec-model half of legacy::estimatePower over prebuilt busy intervals
- * and a GPU busy ratio. @p seconds must be the nonzero window length.
+ * Average power over the whole bundle window (all processes
+ * contribute; power is machine-level) from prebuilt per-CPU busy
+ * intervals and a GPU busy ratio. @p seconds must be the nonzero
+ * window length.
  */
 PowerEstimate powerFromBusyIntervals(
     const std::map<trace::CpuId, std::vector<Interval>> &intervals,

@@ -404,24 +404,9 @@ QueryPlan::run(unsigned threads) const
         switch (task.metric) {
           case QueryMetric::Tlp:
           case QueryMetric::BusyFraction: {
-            if (bundle.numLogicalCpus == 0)
-                deskpar::fatal(
-                    "computeConcurrency: unknown CPU count");
-            if (spec.t1 <= spec.t0)
-                deskpar::fatal("computeConcurrency: empty window");
-            const detail::FilterColumns &cols = *columns[task.filterIdx];
-            ConcurrencyProfile profile;
-            if (cols.timeline.usable) {
-                profile = detail::queryConcurrencyTimeline(
-                    cols.timeline, spec.t0, spec.t1);
-            } else {
-                // Poisoned timeline (disordered stream): the direct
-                // sweep, panics and all, warning already deduped.
-                profile = detail::sweepConcurrency(
-                    bundle, filters_[task.filterIdx].spec, spec.t0,
-                    spec.t1, bundle.numLogicalCpus,
-                    /*emit_warning=*/false);
-            }
+            ConcurrencyProfile profile = detail::windowedConcurrency(
+                bundle, filters_[task.filterIdx].spec,
+                columns[task.filterIdx]->timeline, spec.t0, spec.t1);
             result.rows[task.firstRow].value =
                 detail::metricFromProfile(task.metric, profile);
             break;

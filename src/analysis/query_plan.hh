@@ -4,9 +4,10 @@
  * execution plan that reads each distinct filter's columns from one
  * source, then answers every row of every query from those columns.
  *
- * A naive batch evaluation (legacy::runQueries) pays one full event
- * sweep per row — a 16-query TLP/busy/csrate/dhist batch over the
- * same application re-reads the same cswitch vector dozens of times.
+ * A naive batch evaluation (the test oracle's legacy::runQueries)
+ * pays one full event sweep per row — a 16-query
+ * TLP/busy/csrate/dhist batch over the same application re-reads the
+ * same cswitch vector dozens of times.
  * The planner deduplicates the per-row event filters (pid set, tid,
  * cpu mask), records which columns any of a filter's rows need —
  * concurrency timeline, dispatch column, burst columns, wait columns
@@ -34,9 +35,8 @@
  *  - every source builds the columns a separate per-filter pass would
  *    build, bit for bit, so the source never changes a value;
  *  - the floating-point fold of each row is the same operation
- *    sequence the reference (legacy::runQuery) performs, via the
- *    shared detail:: fold helpers and the proven timeline/GPU query
- *    paths;
+ *    sequence the oracle's reference runner performs, via the shared
+ *    detail:: fold helpers and the proven timeline/GPU query paths;
  *  - errors are captured per task and the lowest-index one is
  *    rethrown after the join, which is exactly the error the serial
  *    reference would hit first.

@@ -41,26 +41,12 @@ struct Responsiveness
     double maxLatencyMs() const { return latency.max() * 1e-6; }
 };
 
-namespace legacy {
-
-/**
- * Responsiveness of the application consisting of @p pids (empty =
- * any non-idle process): for each input marker, the time until the
- * next context switch that puts one of the application's threads on
- * a CPU. The direct implementation — the bit-identical reference for
- * the index-backed path (Session::responsiveness).
- */
-Responsiveness computeResponsiveness(const trace::TraceBundle &bundle,
-                                     const trace::PidSet &pids);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
- * The marker-matching half of legacy::computeResponsiveness, over a sorted
- * dispatch column. Shared by the legacy path (which collects the
- * column per call) and the index (which caches it per pid set).
+ * Responsiveness from a sorted dispatch column: for each input
+ * marker, the time until the next dispatch at or after it. The index
+ * passes the column it caches per pid set (Session::responsiveness).
  */
 Responsiveness
 responsivenessFromDispatches(const trace::TraceBundle &bundle,

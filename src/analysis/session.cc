@@ -97,9 +97,9 @@ Session::app(const std::string &prefix) const
 
 ConcurrencyProfile
 Session::concurrency(const PidSet &pids, sim::SimTime t0,
-                     sim::SimTime t1, unsigned num_cpus) const
+                     sim::SimTime t1) const
 {
-    return index().concurrency(pids, t0, t1, num_cpus);
+    return index().concurrency(pids, t0, t1);
 }
 
 ConcurrencyProfile

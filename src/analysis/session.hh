@@ -6,10 +6,10 @@
  *
  * It is the one metric API: every metric is a Session method, and a
  * Session builds its index once, on first query, so every later query
- * of any metric reuses the cached columns. The legacy:: functions
- * beside each metric are direct-sweep references that the
- * differential tests prove these methods bit-identical against; they
- * are not a second entry point.
+ * of any metric reuses the cached columns. The direct-sweep
+ * references that the differential tests prove these methods
+ * bit-identical against live in the test-only oracle library
+ * (tests/oracle/), not in the product.
  *
  * Lifetime: the borrowing constructor aliases the caller's bundle,
  * which must outlive the Session (the same contract TraceIndex had);
@@ -88,12 +88,11 @@ class Session
 
     /**
      * Windowed concurrency histogram (Equation 1 inputs) over
-     * [@p t0, @p t1). An empty @p pids means every non-idle process;
-     * @p num_cpus caps the histogram (0 = the bundle's CPU count).
+     * [@p t0, @p t1), one level per logical CPU of the bundle header.
+     * An empty @p pids means every non-idle process.
      */
     ConcurrencyProfile concurrency(const PidSet &pids, sim::SimTime t0,
-                                   sim::SimTime t1,
-                                   unsigned num_cpus = 0) const;
+                                   sim::SimTime t1) const;
 
     /** Whole-bundle window. */
     ConcurrencyProfile concurrency(const PidSet &pids) const;
@@ -146,9 +145,9 @@ class Session
     QueryPlan plan(const std::vector<Query> &queries) const;
 
     /**
-     * Compile and run a query batch; results are bit-identical to
-     * legacy::runQueries at any thread count (@p threads 0 means
-     * DESKPAR_JOBS / hardware concurrency).
+     * Compile and run a query batch; results are bit-identical to the
+     * oracle's row-by-row reference at any thread count (@p threads 0
+     * means DESKPAR_JOBS / hardware concurrency).
      */
     std::vector<QueryResult> query(const std::vector<Query> &queries,
                                    unsigned threads = 0) const;
@@ -156,8 +155,7 @@ class Session
     /**
      * Wakeup-chain serialization-bottleneck report (blocking.hh):
      * ready-queue waits, wakeup-edge culprits, and the critical
-     * path, bit-identical to blocking::legacy::analyze at any
-     * thread count.
+     * path, identical at any thread count.
      */
     blocking::BlockingReport bottlenecks(const PidSet &pids,
                                          unsigned threads = 0) const;

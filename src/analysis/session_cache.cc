@@ -83,15 +83,7 @@ SessionCache::fill(Slot &slot, const std::string &path,
     auto start = std::chrono::steady_clock::now();
     trace::TraceBundle bundle = trace::decodeFile(
         path, popts, *report, "SessionCache", &slot.ingest.bytes);
-    if (mode == trace::ParseMode::Strict && !report->ok()) {
-        if (!report->errors.empty())
-            throw trace::TraceParseError(report->errors.front());
-        trace::ParseError generic;
-        generic.source = path;
-        generic.section = "ingest";
-        generic.reason = report->summary();
-        throw trace::TraceParseError(std::move(generic));
-    }
+    trace::checkIngest(*report);
 
     auto session = std::make_shared<Session>(std::move(bundle));
     // Materialize the shared column state before the Session is

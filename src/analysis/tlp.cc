@@ -1,12 +1,8 @@
 #include "analysis/tlp.hh"
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
-#include "analysis/concurrency_timeline.hh"
-#include "sim/logging.hh"
 #include "trace/diagnostic.hh"
 #include "trace/parse.hh"
 
@@ -72,37 +68,5 @@ warnOutOfRangeCpus(std::uint64_t count, unsigned num_cpus)
 }
 
 } // namespace detail
-
-namespace legacy {
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1, unsigned num_cpus)
-{
-    if (num_cpus == 0)
-        num_cpus = bundle.numLogicalCpus;
-    if (num_cpus == 0)
-        deskpar::fatal("computeConcurrency: unknown CPU count");
-    if (t1 <= t0)
-        deskpar::fatal("computeConcurrency: empty window");
-
-    // The sweep body lives in concurrency_timeline.cc so the query
-    // planner can run it for arbitrary filters (tid, cpu mask) and
-    // with the out-of-range warning deduped; the default spec below
-    // is this function's historical behavior, warning included.
-    detail::TimelineSpec spec;
-    spec.pids = pids;
-    return detail::sweepConcurrency(bundle, spec, t0, t1, num_cpus,
-                                    /*emit_warning=*/true);
-}
-
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids)
-{
-    return computeConcurrency(bundle, pids, bundle.startTime,
-                              bundle.stopTime);
-}
-
-} // namespace legacy
 
 } // namespace deskpar::analysis

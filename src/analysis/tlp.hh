@@ -68,29 +68,6 @@ struct ConcurrencyProfile
     double utilization() const;
 };
 
-namespace legacy {
-
-/**
- * The concurrency profile of @p bundle over [@p t0, @p t1) for the
- * processes in @p pids, by one direct sweep: the reference the
- * index-backed path (Session::concurrency) is proven bit-identical
- * against.
- *
- * An empty @p pids means "every non-idle process" — the system-wide
- * TLP of the 2000/2010 studies. @p num_cpus caps the histogram; the
- * default 0 means bundle.numLogicalCpus.
- */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids,
-                   sim::SimTime t0, sim::SimTime t1,
-                   unsigned num_cpus = 0);
-
-/** Convenience: whole-bundle window. */
-ConcurrencyProfile
-computeConcurrency(const TraceBundle &bundle, const PidSet &pids);
-
-} // namespace legacy
-
 namespace detail {
 
 /**
@@ -104,8 +81,7 @@ trace::Diagnostic outOfRangeCpusDiagnostic(std::uint64_t count,
 
 /**
  * Emit the out-of-range-cpu Diagnostic through trace::emitDiagnostic
- * (shared by the legacy sweep and the trace-index build; goes to
- * stderr unless the caller installed a DiagnosticSink).
+ * (goes to stderr unless the caller installed a DiagnosticSink).
  */
 void warnOutOfRangeCpus(std::uint64_t count, unsigned num_cpus);
 

@@ -27,7 +27,8 @@ using sim::SimTime;
  */
 struct TraceIndex::PidColumns
 {
-    trace::PidSet pids;
+    /** The pid set's default filter (no tid, all cpus). */
+    detail::TimelineSpec spec;
 
     std::mutex cswitchMutex;
     std::atomic<bool> cswitchBuilt{false};
@@ -71,12 +72,10 @@ buildCswitchColumns(const trace::TraceBundle &bundle,
 {
     obs::Span span("index.build.cswitch", obs::SpanKind::Index,
                    bundle.cswitches.size());
-    detail::TimelineSpec spec;
-    spec.pids = cols.pids;
     detail::ColumnNeeds needs;
     needs.dispatches = true;
     needs.waits = true;
-    cols.cswitch = detail::buildFilterColumns(bundle, spec, needs);
+    cols.cswitch = detail::buildFilterColumns(bundle, cols.spec, needs);
 }
 
 // ---- column-blob primitives (index cache serialization) ----
@@ -156,8 +155,11 @@ getCount(std::string_view data, std::size_t &pos, std::uint64_t &n)
     return getU64(data, pos, n) && n <= data.size() - pos;
 }
 
-/** The serializeColumns()/adoptColumns() blob format version. */
-constexpr std::uint64_t kColumnsVersion = 1;
+/**
+ * The serializeColumns()/adoptColumns() blob format version (layout
+ * in DESIGN.md §15).
+ */
+constexpr std::uint64_t kColumnsVersion = 2;
 
 } // namespace
 
@@ -180,7 +182,7 @@ TraceIndex::pidColumns(const PidSet &pids) const
     std::unique_ptr<PidColumns> &slot = perPid_[std::move(key)];
     if (!slot) {
         slot = std::make_unique<PidColumns>();
-        slot->pids = pids;
+        slot->spec.pids = pids;
     }
     return *slot;
 }
@@ -286,36 +288,13 @@ TraceIndex::cpuBusyColumns() const
 }
 
 ConcurrencyProfile
-TraceIndex::concurrency(const PidSet &pids, SimTime t0, SimTime t1,
-                        unsigned num_cpus) const
+TraceIndex::concurrency(const PidSet &pids, SimTime t0,
+                        SimTime t1) const
 {
     obs::Span span("index.query.concurrency", obs::SpanKind::Query);
-    unsigned resolved =
-        num_cpus ? num_cpus : bundle_.numLogicalCpus;
-    if (resolved == 0)
-        deskpar::fatal("computeConcurrency: unknown CPU count");
-    if (t1 <= t0)
-        deskpar::fatal("computeConcurrency: empty window");
-
-    const detail::ConcurrencyTimeline &timeline =
-        cswitchColumns(pids).cswitch.timeline;
-    if (!timeline.usable || timeline.cutoff != resolved) {
-        if (restored_)
-            deskpar::fatal(
-                "TraceIndex: query needs a cswitch sweep the "
-                "restored index cache cannot answer (reopen the "
-                "trace with a cold ingest)");
-        // Direct sweep, warning suppressed: the per-trace dedup below
-        // replaces the old once-per-query emission (the profile still
-        // carries the count).
-        detail::TimelineSpec spec;
-        spec.pids = pids;
-        ConcurrencyProfile profile = detail::sweepConcurrency(
-            bundle_, spec, t0, t1, resolved, /*emit_warning=*/false);
-        warnOutOfRangeOnce(profile.outOfRangeCpuEvents, resolved);
-        return profile;
-    }
-    return detail::queryConcurrencyTimeline(timeline, t0, t1);
+    const PidColumns &cols = cswitchColumns(pids);
+    return detail::windowedConcurrency(bundle_, cols.spec,
+                                       cols.cswitch.timeline, t0, t1);
 }
 
 ConcurrencyProfile
@@ -329,7 +308,7 @@ TraceIndex::gpuUtil(const PidSet &pids, SimTime t0, SimTime t1) const
 {
     obs::Span span("index.query.gpu", obs::SpanKind::Query);
     if (t1 <= t0)
-        deskpar::fatal("computeGpuUtil: empty window");
+        deskpar::fatal("gpuUtil: empty window");
 
     const GpuColumns &gc = gpuColumns();
     std::size_t first = 0;
@@ -368,7 +347,7 @@ TraceIndex::frameStats(const PidSet &pids) const
             obs::Span buildSpan("index.build.frames",
                                 obs::SpanKind::Index,
                                 bundle_.frames.size());
-            cols.frames = legacy::computeFrameStats(bundle_, pids);
+            cols.frames = detail::sweepFrameStats(bundle_, pids);
             cols.framesBuilt.store(true, std::memory_order_release);
         }
     }
@@ -456,7 +435,7 @@ TraceIndex::serializeColumns() const
     for (const auto &[key, slot] : perPid_) {
         if (slot->cswitchBuilt.load(std::memory_order_acquire) &&
             !slot->cswitch.timeline.usable)
-            return std::string(); // legacy-fallback index: no cache
+            return std::string(); // sweep-fallback index: no cache
     }
 
     std::string out;
@@ -501,7 +480,6 @@ TraceIndex::serializeColumns() const
         out.push_back(cswitchBuilt ? 1 : 0);
         if (cswitchBuilt) {
             const detail::ConcurrencyTimeline &tl = c.cswitch.timeline;
-            out.push_back(tl.usable ? 1 : 0);
             trace::putVarint(out, tl.cutoff);
             trace::putVarint(out, tl.outOfRangeCpuEvents);
             trace::putVarint(out, tl.times.size());
@@ -638,19 +616,19 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
             key.push_back(prevPid);
         }
         auto cols = std::make_unique<PidColumns>();
-        cols->pids = PidSet(key.begin(), key.end());
+        cols->spec.pids = PidSet(key.begin(), key.end());
 
         if (!getByte(data, pos, flag))
             return fail("truncated cswitch-built flag");
         if (flag) {
             detail::ConcurrencyTimeline &tl = cols->cswitch.timeline;
-            if (!getByte(data, pos, flag))
-                return fail("truncated timeline header");
-            tl.usable = flag != 0;
+            tl.usable = true;
             std::uint64_t cutoff = 0;
             if (!getU64(data, pos, cutoff) ||
                 !getU64(data, pos, tl.outOfRangeCpuEvents))
                 return fail("truncated timeline header");
+            if (cutoff == 0 || cutoff != bundle_.numLogicalCpus)
+                return fail("timeline CPU count differs from the trace");
             tl.cutoff = static_cast<unsigned>(cutoff);
             if (!getCount(data, pos, n))
                 return fail("corrupt timeline size");
@@ -672,8 +650,16 @@ TraceIndex::adoptColumns(std::string_view data, std::string *error)
                     return fail("truncated level column");
                 tl.levels.push_back(static_cast<int>(level));
             }
+            if (tl.levels.size() != tl.times.size())
+                return fail("level column does not match the times");
+            // A checkpoint column of any other shape than its levels
+            // imply would be read out of bounds by windowed queries.
+            tl.width = detail::checkpointWidth(tl.levels, tl.cutoff);
             if (!getCount(data, pos, n))
                 return fail("corrupt checkpoint size");
+            if (n != detail::checkpointRows(tl.times.size()) * tl.width)
+                return fail("checkpoint column does not match the "
+                            "timeline");
             tl.cum.reserve(static_cast<std::size_t>(n));
             for (std::uint64_t i = 0; i < n; ++i) {
                 std::uint64_t d = 0;

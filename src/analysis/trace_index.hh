@@ -3,8 +3,8 @@
  * Columnar trace index: one structure-of-arrays view of a TraceBundle
  * that every metric queries instead of re-sweeping the event vectors.
  *
- * The legacy analyses each performed their own full linear scan, once
- * per pid set and once per time window, so the timeline figures paid
+ * A direct analysis performs its own full linear scan, once per pid
+ * set and once per time window, so the timeline figures would pay
  * O(windows x events) and the Table II suite re-read the same cswitch
  * stream several times per iteration. The index is built once per
  * (bundle, pid set) and answers windowed queries with two binary
@@ -18,18 +18,19 @@
  *    diffs, and at most one stride of edge segments per side.
  *  - GPU: a start-time column plus a running-max finish column bound
  *    the packets that can intersect a window; the candidates are then
- *    folded with the exact legacy loop, in stream order, so the
+ *    folded with the exact full-scan loop, in stream order, so the
  *    floating-point sums are bit-identical.
  *  - Frames / responsiveness / power columns are built in the same
  *    fused sweeps and cached per pid set.
  *
- * Every query is bit-identical to the legacy single-sweep functions
- * (analysis::legacy::*): the integer time-at-level decomposition is
- * exact, and floating-point folds reuse the legacy operation order.
- * Traces the index cannot represent faithfully (disordered streams
- * that produce negative concurrency, a query num_cpus differing from
- * the header) transparently fall back to the legacy sweep, panics
- * and all.
+ * Every query is bit-identical to the direct single-sweep references
+ * of the test-only oracle library (tests/oracle/analysis_legacy.hh),
+ * which the differential tests run against it: the integer
+ * time-at-level decomposition is exact, and floating-point folds
+ * reuse the sweeps' operation order. A disordered stream whose
+ * timeline would go negative is the one trace the checkpoints cannot
+ * represent; its concurrency queries take the direct sweep, panics
+ * and all (detail::windowedConcurrency).
  *
  * Thread safety: each column family is built at most once, under its
  * own build lock — per pid set for the cswitch and frame columns, per
@@ -78,39 +79,34 @@ class TraceIndex
     const TraceBundle &bundle() const { return bundle_; }
 
     /**
-     * Concurrency histogram over [@p t0, @p t1), same contract as
-     * legacy::computeConcurrency. Queries with @p num_cpus differing from
-     * the bundle header (0 means the header value) fall back to the
-     * legacy sweep, as do timelines poisoned by disordered streams.
+     * Concurrency histogram over [@p t0, @p t1) with the header's CPU
+     * count as the level ceiling; fatal on an empty window or a
+     * bundle without a CPU count (detail::windowedConcurrency).
      */
     ConcurrencyProfile concurrency(const PidSet &pids, sim::SimTime t0,
-                                   sim::SimTime t1,
-                                   unsigned num_cpus = 0) const;
+                                   sim::SimTime t1) const;
 
     /** Whole-bundle window. */
     ConcurrencyProfile concurrency(const PidSet &pids) const;
 
-    /** GPU utilization over [@p t0, @p t1), as legacy::computeGpuUtil. */
+    /** GPU utilization over [@p t0, @p t1); fatal on an empty window. */
     GpuUtilization gpuUtil(const PidSet &pids, sim::SimTime t0,
                            sim::SimTime t1) const;
 
     /** Whole-bundle window. */
     GpuUtilization gpuUtil(const PidSet &pids) const;
 
-    /**
-     * Frame statistics, as legacy::computeFrameStats (cached per pid
-     * set).
-     */
+    /** Frame statistics (detail::sweepFrameStats, cached per pid set). */
     FrameStats frameStats(const PidSet &pids) const;
 
     /**
-     * Input-to-dispatch latency, as legacy::computeResponsiveness, using the
-     * cached sorted dispatch column of the pid set.
+     * Input-to-dispatch latency, from the cached sorted dispatch
+     * column of the pid set.
      */
     Responsiveness responsiveness(const PidSet &pids) const;
 
     /**
-     * Power estimate, as legacy::estimatePower, from the cached per-CPU busy
+     * Machine-level power estimate, from the cached per-CPU busy
      * intervals and the GPU columns.
      */
     PowerEstimate power(const sim::CpuSpec &cpu,
@@ -141,7 +137,7 @@ class TraceIndex
      * frame statistics — into a portable byte blob for the on-disk
      * index cache (analysis/index_cache.hh). Returns an empty string
      * when any built timeline is unusable (disordered stream): such
-     * an index answers queries through the legacy fallback sweep,
+     * an index answers concurrency queries with the direct sweep,
      * which a warm reopen cannot reproduce, so it is not cacheable.
      */
     std::string serializeColumns() const;
@@ -151,9 +147,11 @@ class TraceIndex
      * blob instead of sweeping the bundle. Only legal before any
      * column build (fatal otherwise). Returns false with @p error set
      * when the blob is malformed; the index is left empty and usable
-     * for a normal cold build. On success the index is marked
-     * restored(): queries against pid sets absent from the blob, and
-     * windowed sweeps the checkpoints cannot answer, fail loudly
+     * for a normal cold build; a blob whose columns do not fit
+     * together (a timeline for another CPU count, a level column of
+     * another length than its times, checkpoint rows of the wrong
+     * shape) is malformed. On success the index is marked restored():
+     * queries against pid sets absent from the blob fail loudly
      * instead of silently recomputing from a bundle whose cswitch
      * stream the cache intentionally omits.
      */

@@ -123,16 +123,12 @@ replayJob(const std::string &path, const RunOptions &options,
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - begin)
                     .count();
+            // A rejected file's structured error fails this job
+            // (recoverable at the batch level). A degraded lenient
+            // ingest analyzes the salvaged remainder, but tells the
+            // user the result is degraded.
+            trace::checkIngest(report);
             if (!report.ok()) {
-                // Strict: the file is rejected outright; the
-                // structured error fails this job (recoverable at
-                // the batch level). Lenient: analyze the salvaged
-                // remainder, but tell the user the result is
-                // degraded.
-                if (mode == trace::ParseMode::Strict) {
-                    throw trace::TraceParseError(
-                        report.errors.front());
-                }
                 trace::Diagnostic degraded;
                 degraded.severity = trace::Severity::Warning;
                 degraded.component = "replay";

@@ -35,10 +35,10 @@
  *    the per-level compare against the moving element.
  *
  * Pop order is differential-tested against the preserved
- * binary-heap implementation (sim/event_queue_legacy.hh). Callbacks
- * are InlineCallback, not std::function, so capture-heavy events
- * (input delivery captures a label string) schedule without touching
- * malloc.
+ * binary-heap implementation (tests/oracle/event_queue_legacy.hh, in
+ * the test-only oracle library). Callbacks are InlineCallback, not
+ * std::function, so capture-heavy events (input delivery captures a
+ * label string) schedule without touching malloc.
  */
 
 #ifndef DESKPAR_SIM_EVENT_QUEUE_HH

@@ -1,5 +1,7 @@
 #include "trace/open.hh"
 
+#include <utility>
+
 #include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
@@ -24,6 +26,24 @@ decodeFile(const std::string &path, const ParseOptions &options,
         bundle = decodeEtl(file.span(), options, report);
     }
     return bundle;
+}
+
+void
+checkIngest(const IngestReport &report)
+{
+    if (report.ok())
+        return;
+    bool headerRejected = !report.errors.empty() &&
+                          report.errors.front().section == "header";
+    if (report.mode == ParseMode::Lenient && !headerRejected)
+        return;
+    if (!report.errors.empty())
+        throw TraceParseError(report.errors.front());
+    ParseError generic;
+    generic.source = report.source;
+    generic.section = "ingest";
+    generic.reason = report.summary();
+    throw TraceParseError(std::move(generic));
 }
 
 } // namespace deskpar::trace

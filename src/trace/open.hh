@@ -5,8 +5,9 @@
  *
  * Every production path that opens a trace by name (replay jobs,
  * the analysis service's session cache, the index-cache cold path
- * and `deskpar pack`) goes through decodeFile, so the sniff rule
- * lives here and nowhere else.
+ * and `deskpar pack`) goes through decodeFile and then checkIngest,
+ * so the sniff rule and the accept/reject rule live here and nowhere
+ * else.
  */
 
 #ifndef DESKPAR_TRACE_OPEN_HH
@@ -35,6 +36,17 @@ TraceBundle decodeFile(const std::string &path,
                        const ParseOptions &options,
                        IngestReport &report, const char *who,
                        std::uint64_t *bytes = nullptr);
+
+/**
+ * The one verdict on a decodeFile outcome, applied by every caller:
+ * throw the first stored error (a summary error when none is stored)
+ * when the file is rejected — any defect in strict mode, and in both
+ * modes a rejected header (bad magic, version or CPU count, a foreign
+ * CSV header line), past which no reader decodes anything. Returns
+ * for a clean ingest and for a degraded lenient one; callers tell the
+ * two apart with report.ok().
+ */
+void checkIngest(const IngestReport &report);
 
 } // namespace deskpar::trace
 

@@ -25,8 +25,9 @@
 
 #include "analysis/blocking.hh"
 #include "analysis/session.hh"
+#include "oracle/blocking_legacy.hh"
+#include "oracle/corrupt.hh"
 #include "sim/types.hh"
-#include "trace/corrupt.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
 

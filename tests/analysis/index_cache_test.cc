@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -106,6 +107,89 @@ slurp(const std::string &path)
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
+}
+
+/** Sequential varint reads over a cache blob (tests doctor caches). */
+struct VarintCursor
+{
+    const std::string &data;
+    std::size_t pos = 0;
+
+    std::uint64_t
+    next()
+    {
+        std::uint64_t value = 0;
+        for (unsigned shift = 0;; shift += 7) {
+            auto byte = static_cast<std::uint8_t>(data.at(pos++));
+            value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+            if (!(byte & 0x80))
+                return value;
+        }
+    }
+
+    void
+    skip(std::uint64_t count)
+    {
+        while (count-- > 0)
+            next();
+    }
+};
+
+/**
+ * @p dpidx with the first pid set's checkpoint column one entry short
+ * and the checksum recomputed: intact bytes whose columns no longer
+ * fit together.
+ */
+std::string
+withShortCheckpointColumn(const std::string &dpidx)
+{
+    const std::size_t kHead = 12; // magic + CRC32C
+    const std::string body = dpidx.substr(kHead);
+    VarintCursor c{body};
+    c.skip(5); // version, size, mtime, header hash, cswitch count
+    c.pos += c.next(); // the embedded .etlc bundle
+    const std::size_t colsLenPos = c.pos;
+    const std::uint64_t colsLen = c.next();
+    const std::string blob = body.substr(c.pos, colsLen);
+
+    VarintCursor b{blob};
+    b.next();  // blob version
+    ++b.pos;   // GPU sortedByStart
+    std::uint64_t n = b.next();
+    b.skip(2 * n); // GPU starts + running-max finishes
+    std::uint64_t cpus = b.next();
+    for (std::uint64_t i = 0; i < cpus; ++i) {
+        b.next(); // cpu id
+        b.skip(2 * b.next());
+    }
+    b.next(); // pid-set count
+    b.skip(b.next());
+    EXPECT_EQ(blob.at(b.pos), 1) << "first pid set has no timeline";
+    ++b.pos;
+    b.skip(2); // cutoff, out-of-range count
+    b.skip(b.next()); // times
+    b.skip(b.next()); // levels
+    const std::size_t cumPos = b.pos;
+    n = b.next();
+    EXPECT_GT(n, 0u);
+    const std::size_t entries = b.pos;
+    b.skip(n - 1);
+    const std::size_t last = b.pos;
+    b.next();
+
+    std::string shortBlob = blob.substr(0, cumPos);
+    trace::putVarint(shortBlob, n - 1);
+    shortBlob += blob.substr(entries, last - entries);
+    shortBlob += blob.substr(b.pos);
+
+    std::string newBody = body.substr(0, colsLenPos);
+    trace::putVarint(newBody, shortBlob.size());
+    newBody += shortBlob;
+    std::uint32_t crc = trace::crc32c(newBody);
+    std::string out = dpidx.substr(0, 8);
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+    return out + newBody;
 }
 
 void
@@ -292,6 +376,32 @@ TEST(IndexCache, CorruptOrTruncatedCachesFallBackToCold)
     EXPECT_FALSE(reopened.warm);
     EXPECT_TRUE(reopened.wroteCache);
     EXPECT_EQ(slurp(cold.cachePath), good);
+}
+
+TEST(IndexCache, ResealedShortCheckpointColumnFallsBackToCold)
+{
+    std::string path = writeTrace("cache_short_column.etl");
+    OpenResult cold = openSession(path);
+    ASSERT_TRUE(cold.wroteCache);
+    std::string good = slurp(cold.cachePath);
+    {
+        std::ofstream out(cold.cachePath, std::ios::binary);
+        out << withShortCheckpointColumn(good);
+    }
+
+    // The checksum holds, so only the shape check can refuse it.
+    std::string error;
+    EXPECT_EQ(loadCachedSession(path, error), nullptr);
+    EXPECT_NE(error.find("checkpoint column"), std::string::npos)
+        << error;
+
+    OpenResult reopened = openSession(path);
+    ASSERT_TRUE(reopened.session);
+    EXPECT_FALSE(reopened.warm);
+    EXPECT_TRUE(reopened.wroteCache);
+    EXPECT_EQ(slurp(cold.cachePath), good);
+    expectSameAnalysis(*reopened.session, *cold.session,
+                       trace::PidSet{});
 }
 
 TEST(IndexCache, EtlcTracesWarmTheSameWay)

@@ -29,9 +29,10 @@
 #include "analysis/session.hh"
 #include "analysis/timeseries.hh"
 #include "analysis/tlp.hh"
+#include "oracle/analysis_legacy.hh"
+#include "oracle/corrupt.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
-#include "trace/corrupt.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
 

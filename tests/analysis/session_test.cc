@@ -9,6 +9,7 @@
 
 #include "analysis/analyzer.hh"
 #include "analysis/session.hh"
+#include "oracle/analysis_legacy.hh"
 #include "trace/filter.hh"
 #include "trace/session.hh"
 
@@ -86,7 +87,7 @@ TEST(Session, MatchesFreeFunctionAnalysis)
     analysis::AppMetrics direct;
     direct.concurrency = analysis::legacy::computeConcurrency(bundle, pids);
     direct.gpu = analysis::legacy::computeGpuUtil(bundle, pids);
-    direct.frames = analysis::legacy::computeFrameStats(bundle, pids);
+    direct.frames = analysis::detail::sweepFrameStats(bundle, pids);
     analysis::AppMetrics viaSession = session.app(pids);
 
     EXPECT_DOUBLE_EQ(direct.tlp(), viaSession.tlp());

@@ -26,10 +26,11 @@
 #include "analysis/timeseries.hh"
 #include "analysis/tlp.hh"
 #include "analysis/trace_index.hh"
+#include "oracle/analysis_legacy.hh"
+#include "oracle/corrupt.hh"
 #include "sim/cpu.hh"
 #include "sim/gpu.hh"
 #include "sim/logging.hh"
-#include "trace/corrupt.hh"
 #include "trace/etl.hh"
 
 namespace {
@@ -286,19 +287,6 @@ TEST(TraceIndexDiff, OutOfRangeCpuEventsCountedIdentically)
     }
 }
 
-TEST(TraceIndexDiff, NumCpusOverrideMatchesLegacy)
-{
-    TraceBundle bundle = randomBundle(3);
-    TraceIndex index(bundle);
-    for (unsigned cpus : {1u, 4u, 8u, 12u}) {
-        expectProfilesEqual(
-            index.concurrency({5}, bundle.startTime, bundle.stopTime,
-                              cpus),
-            legacy::computeConcurrency(bundle, {5}, bundle.startTime,
-                                       bundle.stopTime, cpus));
-    }
-}
-
 TEST(TraceIndexDiff, RepeatedQueriesAreDeterministic)
 {
     TraceBundle bundle = randomBundle(4);
@@ -321,7 +309,7 @@ TEST(TraceIndexDiff, FramesResponsivenessPowerMatchLegacy)
         for (const auto &pids : pidSets()) {
             expectFramesEqual(
                 index.frameStats(pids),
-                legacy::computeFrameStats(bundle, pids));
+                detail::sweepFrameStats(bundle, pids));
             expectResponsivenessEqual(
                 index.responsiveness(pids),
                 legacy::computeResponsiveness(bundle, pids));
@@ -347,7 +335,7 @@ TEST(TraceIndexDiff, FusedAnalyzeAppMatchesLegacyComposition)
             expectGpuEqual(fused.gpu,
                            legacy::computeGpuUtil(bundle, pids));
             expectFramesEqual(fused.frames,
-                              legacy::computeFrameStats(bundle, pids));
+                              detail::sweepFrameStats(bundle, pids));
         }
     }
 }
@@ -409,7 +397,7 @@ TEST(TraceIndexEdge, EmptyBundleMatchesLegacy)
     compareAllWindows(bundle, 5, 6);
     TraceIndex index(bundle);
     expectFramesEqual(index.frameStats({}),
-                      legacy::computeFrameStats(bundle, {}));
+                      detail::sweepFrameStats(bundle, {}));
     expectResponsivenessEqual(
         index.responsiveness({}),
         legacy::computeResponsiveness(bundle, {}));
@@ -458,6 +446,33 @@ TEST(TraceIndexEdge, ZeroDurationBundlePowerMatchesLegacy)
     EXPECT_EQ(fromIndex.cpuWatts, fromLegacy.cpuWatts);
     EXPECT_EQ(fromIndex.gpuWatts, fromLegacy.gpuWatts);
     EXPECT_EQ(fromIndex.seconds, fromLegacy.seconds);
+}
+
+/**
+ * Checkpoint rows are as wide as the highest level the timeline
+ * reaches, so a forged header CPU count (the readers accept up to
+ * 4096) costs no column memory; profiles keep one entry per header
+ * CPU, so every document stays as before.
+ */
+TEST(TraceIndexEdge, ColumnBytesIgnoreTheHeaderCpuCount)
+{
+    TraceBundle bundle = randomBundle(11);
+    TraceBundle wide = bundle;
+    wide.numLogicalCpus = 4096;
+    TraceIndex index(bundle);
+    TraceIndex wideIndex(wide);
+    index.warm({});
+    wideIndex.warm({});
+    EXPECT_EQ(wideIndex.columnBytes(), index.columnBytes());
+
+    ConcurrencyProfile narrow = index.concurrency({});
+    ConcurrencyProfile widened = wideIndex.concurrency({});
+    ASSERT_EQ(widened.c.size(), 4097u);
+    for (std::size_t l = 0; l < widened.c.size(); ++l)
+        EXPECT_EQ(widened.c[l], l < narrow.c.size() ? narrow.c[l] : 0.0)
+            << "level " << l;
+    expectProfilesEqual(widened,
+                        legacy::computeConcurrency(wide, {}));
 }
 
 /**

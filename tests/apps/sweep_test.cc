@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "apps/sweep.hh"
+#include "oracle/corrupt.hh"
 #include "sim/callback.hh"
-#include "trace/corrupt.hh"
 
 namespace {
 

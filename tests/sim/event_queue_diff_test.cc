@@ -2,7 +2,7 @@
  * @file
  * Randomized differential test: the 4-ary implicit-heap EventQueue
  * against the preserved binary-heap reference implementation
- * (sim/event_queue_legacy.hh).
+ * (tests/oracle/event_queue_legacy.hh).
  *
  * Both queues execute the same randomized scripts — schedules with
  * deliberately colliding timestamps, cancellations, reschedules from
@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "oracle/event_queue_legacy.hh"
 #include "sim/event_queue.hh"
-#include "sim/event_queue_legacy.hh"
 #include "sim/rng.hh"
 
 namespace {

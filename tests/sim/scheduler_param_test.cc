@@ -114,7 +114,7 @@ TEST_P(SchedulerSweep, ConcurrencyNeverExceedsActiveCpus)
     machine.session().stop(machine.now());
 
     auto profile = analysis::Session(machine.session().bundle())
-                       .concurrency({}, 0, machine.now(), 12);
+                       .concurrency({}, 0, machine.now());
     EXPECT_LE(profile.maxConcurrency(),
               machine.activeLogicalCpus());
     EXPECT_GT(profile.maxConcurrency(), 0u);

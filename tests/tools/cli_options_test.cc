@@ -15,6 +15,9 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -226,6 +229,105 @@ TEST(CliExitCodes, RuntimeFailuresExitOne)
     EXPECT_EQ(deskparExit("bottlenecks /tmp/deskpar_absent.etl"), 1);
     EXPECT_EQ(deskparExit("replay /tmp/deskpar_absent.etl"), 1);
     EXPECT_EQ(deskparExit("client /tmp/deskpar_absent.sock ping"), 1);
+}
+
+/** Exit code and merged stdout+stderr of a deskpar invocation. */
+int
+deskparRun(const std::string &args, std::string &output)
+{
+    const std::string log =
+        (std::filesystem::temp_directory_path() / "deskpar_cli_out.txt")
+            .string();
+    std::string command = std::string(DESKPAR_CLI_PATH) + " " + args +
+                          " >" + log + " 2>&1";
+    int status = std::system(command.c_str());
+    std::ifstream in(log, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    output = text.str();
+    std::filesystem::remove(log);
+    EXPECT_TRUE(WIFEXITED(status)) << command;
+    return WEXITSTATUS(status);
+}
+
+/** Unsigned LEB128, as the .etl header stores its fields. */
+std::uint64_t
+readVarint(const std::string &bytes, std::size_t &pos)
+{
+    std::uint64_t value = 0;
+    for (unsigned shift = 0;; shift += 7) {
+        auto byte = static_cast<std::uint8_t>(bytes.at(pos++));
+        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        if (!(byte & 0x80))
+            return value;
+    }
+}
+
+std::string
+varint(std::uint64_t value)
+{
+    std::string out;
+    do {
+        auto byte = static_cast<char>(value & 0x7f);
+        value >>= 7;
+        out.push_back(value ? static_cast<char>(byte | 0x80) : byte);
+    } while (value);
+    return out;
+}
+
+/**
+ * A trace whose header the readers reject (CPU count 2^31, past the
+ * 4096 cap) fails the file in lenient mode exactly as in strict mode,
+ * with the header defect, on every command that opens a trace —
+ * instead of analyzing an empty bundle.
+ */
+TEST(CliRejectedHeader, LenientCommandsFailWithTheHeaderDefect)
+{
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string good = (dir / "deskpar_header_good.etl").string();
+    const std::string bad = (dir / "deskpar_header_bad.etl").string();
+    const std::string packed = (dir / "deskpar_header_bad.etlc").string();
+    std::string output;
+    ASSERT_EQ(deskparRun("run handbrake --seconds 2 --etl " + good,
+                         output),
+              0)
+        << output;
+
+    std::ifstream in(good, std::ios::binary);
+    std::ostringstream raw;
+    raw << in.rdbuf();
+    const std::string bytes = raw.str();
+    std::size_t pos = 8; // magic
+    for (int field = 0; field < 3; ++field) // version, start, stop
+        readVarint(bytes, pos);
+    const std::size_t cpus = pos;
+    readVarint(bytes, pos);
+    {
+        std::ofstream out(bad, std::ios::binary);
+        out << bytes.substr(0, cpus) << varint(std::uint64_t(1) << 31)
+            << bytes.substr(pos);
+    }
+
+    const std::string defect =
+        "[header] numLogicalCpus: CPU count 2147483648 exceeds the cap "
+        "of 4096";
+    ASSERT_EQ(deskparRun("query " + bad + " tlp", output), 1);
+    EXPECT_NE(output.find(defect), std::string::npos) << output;
+    for (const std::string &command :
+         {"query --lenient-traces " + bad + " tlp",
+          "bottlenecks --lenient-traces " + bad,
+          "pack --lenient-traces " + bad + " -o " + packed,
+          "replay --lenient-traces " + bad}) {
+        SCOPED_TRACE(command);
+        std::filesystem::remove(packed);
+        EXPECT_EQ(deskparRun(command, output), 1);
+        EXPECT_NE(output.find(defect), std::string::npos) << output;
+        EXPECT_EQ(output.find("computeConcurrency"), std::string::npos);
+        EXPECT_EQ(output.find("degraded ingest"), std::string::npos);
+        EXPECT_FALSE(std::filesystem::exists(packed));
+    }
+    std::filesystem::remove(good);
+    std::filesystem::remove(bad);
 }
 
 } // namespace

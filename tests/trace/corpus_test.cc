@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/corrupt.hh"
+#include "oracle/corrupt.hh"
 #include "trace/csv.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"

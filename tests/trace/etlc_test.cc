@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/corrupt.hh"
+#include "oracle/corrupt.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"
 #include "trace/session.hh"

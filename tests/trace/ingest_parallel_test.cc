@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/corrupt.hh"
+#include "oracle/corrupt.hh"
 #include "trace/csv.hh"
 #include "trace/etl.hh"
 #include "trace/etlc.hh"

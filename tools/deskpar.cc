@@ -1049,12 +1049,11 @@ cmdPack(int argc, char **argv, int first)
     trace::IngestReport report;
     trace::TraceBundle bundle =
         trace::decodeFile(path, popts, report, "pack");
+    trace::checkIngest(report);
     // A degraded lenient ingest still packs what survived, but the
     // run exits nonzero: the output is not a faithful conversion.
     int status = 0;
     if (!report.ok()) {
-        if (!lenient)
-            throw trace::TraceParseError(report.errors.front());
         std::fprintf(stderr, "deskpar: degraded ingest: %s\n",
                      report.summary().c_str());
         status = 1;
