@@ -10,9 +10,9 @@ namespace deskpar::analysis {
 namespace {
 
 /**
- * replayJob's pid resolution, verbatim: empty prefix means "the
- * application processes", and a trace with no match is a trace
- * problem (TraceParseError), not a usage problem.
+ * analyze's pid resolution: empty prefix means "the application
+ * processes", and a trace with no match is a trace problem
+ * (TraceParseError), not a usage problem.
  */
 trace::PidSet
 resolveReplayPids(const Session &session, const std::string &path,

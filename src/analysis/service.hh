@@ -23,7 +23,7 @@
  * (after rendering) to the equivalent cold CLI invocation.
  *
  * Errors are exceptions: TraceParseError for trace-content problems
- * (including "no matching process", matching replayJob), FatalError
+ * (including "no matching process" in analyze), FatalError
  * for user errors (bad spec, bad prefix, unreadable file). Callers
  * map them to exit codes or error envelopes.
  */
@@ -169,10 +169,9 @@ class Service
 
     /**
      * Whole-trace app metrics — the numbers `deskpar replay` prints,
-     * from the resident cache. Pid resolution and failure text match
-     * replayJob exactly: an empty prefix selects every application
-     * process, and no match throws TraceParseError (section
-     * "replay").
+     * from the resident cache. An empty prefix selects every
+     * application process, and no match throws TraceParseError
+     * (section "replay").
      */
     ServiceAnalyzeResult analyze(const ServiceTraceRequest &request);
 

@@ -83,6 +83,12 @@ SessionCache::fill(Slot &slot, const std::string &path,
     auto start = std::chrono::steady_clock::now();
     trace::TraceBundle bundle = trace::decodeFile(
         path, popts, *report, "SessionCache", &slot.ingest.bytes);
+    // The ingest clock covers the decode alone, so IngestStats reads
+    // as decode throughput; the index warm below is not part of it.
+    slot.ingest.seconds =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start)
+            .count();
     trace::checkIngest(*report);
 
     auto session = std::make_shared<Session>(std::move(bundle));
@@ -91,10 +97,6 @@ SessionCache::fill(Slot &slot, const std::string &path,
     // path, and the build cost lands on the cold request that caused
     // the ingest, where the latency is expected.
     session->index().warm(PidSet{});
-    slot.ingest.seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
 
     slot.bytes = residentCost(*session);
     slot.session = std::move(session);

@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
 
-#include "analysis/session.hh"
 #include "apps/registry.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "trace/diagnostic.hh"
-#include "trace/filter.hh"
-#include "trace/open.hh"
 
 namespace deskpar::apps {
 namespace {
@@ -83,91 +78,6 @@ suiteJob(const std::string &id, const RunOptions &options)
     job.label = id;
     job.factory = [id] { return makeWorkload(id); };
     job.options = options;
-    return job;
-}
-
-SuiteJob
-replayJob(const std::string &path, const RunOptions &options,
-          const std::string &appPrefix, trace::ParseMode mode)
-{
-    // Every iteration of a replay job re-analyzes the same file, so
-    // ingest and index it once and hand later iterations copies. The
-    // state is shared by the lambda's copies across worker threads;
-    // the mutex also orders the one real ingest against the reads.
-    struct ReplayShared
-    {
-        std::mutex mutex;
-        bool ready = false;
-        trace::TraceBundle bundle;
-        trace::PidSet pids;
-        analysis::AppMetrics metrics;
-        trace::IngestStats stats;
-    };
-    auto shared = std::make_shared<ReplayShared>();
-
-    SuiteJob job;
-    job.label = path;
-    job.options = options;
-    job.direct = [path, appPrefix, mode,
-                  shared](const RunOptions &, unsigned) {
-        std::lock_guard<std::mutex> lock(shared->mutex);
-        if (!shared->ready) {
-            trace::ParseOptions popts;
-            popts.mode = mode;
-            popts.source = path;
-            trace::IngestReport report;
-            auto begin = std::chrono::steady_clock::now();
-            trace::TraceBundle bundle = trace::decodeFile(
-                path, popts, report, "replay", &shared->stats.bytes);
-            shared->stats.seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - begin)
-                    .count();
-            // A rejected file's structured error fails this job
-            // (recoverable at the batch level). A degraded lenient
-            // ingest analyzes the salvaged remainder, but tells the
-            // user the result is degraded.
-            trace::checkIngest(report);
-            if (!report.ok()) {
-                trace::Diagnostic degraded;
-                degraded.severity = trace::Severity::Warning;
-                degraded.component = "replay";
-                degraded.detail.source = path;
-                degraded.detail.reason =
-                    "degraded: " + report.summary();
-                trace::emitDiagnostic(degraded);
-            }
-            trace::PidSet pids =
-                appPrefix.empty()
-                    ? trace::allApplicationPids(bundle)
-                    : trace::pidsWithPrefix(bundle, appPrefix);
-            if (pids.empty()) {
-                trace::ParseError err;
-                err.source = path;
-                err.section = "replay";
-                err.reason = appPrefix.empty()
-                                 ? "trace contains no application "
-                                   "processes"
-                                 : "no process name starts with '" +
-                                       appPrefix + "'";
-                throw trace::TraceParseError(std::move(err));
-            }
-            analysis::Session session(bundle);
-            shared->metrics = session.app(pids);
-            shared->bundle = std::move(bundle);
-            shared->pids = std::move(pids);
-            // Only a fully successful ingest publishes; a throwing
-            // iteration leaves ready unset so retries (or sibling
-            // cancellation) see the same failure.
-            shared->ready = true;
-        }
-        IterationOutput out;
-        out.result.metrics = shared->metrics;
-        out.bundle = shared->bundle;
-        out.pids = shared->pids;
-        out.ingest = shared->stats;
-        return out;
-    };
     return job;
 }
 
@@ -303,12 +213,6 @@ SuiteRunner::runRecoverable(const std::vector<SuiteJob> &jobs) const
 
     SuiteOutcome outcome;
     outcome.failures = std::move(failures);
-    outcome.ingest.source = "<suite>";
-    for (const JobFailure &f : outcome.failures)
-        outcome.ingest.note(f.error, 64);
-    outcome.ingest.recordsParsed =
-        jobs.size() - outcome.failures.size();
-    outcome.ingest.recordsSkipped = outcome.failures.size();
 
     outcome.results.resize(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {

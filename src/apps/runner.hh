@@ -44,8 +44,9 @@ struct SuiteJob
     /** Builds a fresh model instance for one iteration. */
     std::function<WorkloadPtr()> factory;
     /**
-     * Alternative to factory: produce one iteration directly
-     * (trace-replay jobs). Exactly one of factory/direct is set.
+     * Alternative to factory: produce one iteration directly,
+     * without a workload model. Exactly one of factory/direct is
+     * set.
      */
     std::function<IterationOutput(const RunOptions &, unsigned)>
         direct;
@@ -54,19 +55,6 @@ struct SuiteJob
 
 /** Job running the registry workload @p id under @p options. */
 SuiteJob suiteJob(const std::string &id, const RunOptions &options);
-
-/**
- * Job replaying a saved .etl trace instead of simulating: every
- * iteration ingests @p path, filters to the processes whose names
- * start with @p appPrefix (empty = every non-idle pid), and analyzes
- * the result. Strict ingestion fails this one job with the reader's
- * structured ParseError — under runRecoverable() the rest of the
- * batch completes; lenient ingestion warns, analyzes whatever was
- * salvaged, and degrades the result instead of failing.
- */
-SuiteJob replayJob(const std::string &path, const RunOptions &options,
-                   const std::string &appPrefix = "",
-                   trace::ParseMode mode = trace::ParseMode::Strict);
 
 /** One suite job that could not produce a result. */
 struct JobFailure
@@ -93,8 +81,6 @@ struct SuiteOutcome
 {
     std::vector<AppRunResult> results;
     std::vector<JobFailure> failures;
-    /** Batch-level ingest roll-up (one error per failed job). */
-    trace::IngestReport ingest;
 
     bool ok() const { return failures.empty(); }
     bool failed(std::size_t job) const;
@@ -124,9 +110,9 @@ class SuiteRunner
      * Degraded-batch variant: a FatalError (e.g. a TraceParseError
      * from a corrupt trace) in one job fails *that job only* — its
      * remaining iterations are cancelled, every other job still
-     * runs, and the failure lands in the outcome's failure list and
-     * IngestReport. PanicError and non-deskpar exceptions still
-     * abort the batch: those are bugs, not data.
+     * runs, and the failure lands in the outcome's failure list.
+     * PanicError and non-deskpar exceptions still abort the batch:
+     * those are bugs, not data.
      */
     SuiteOutcome
     runRecoverable(const std::vector<SuiteJob> &jobs) const;

@@ -969,30 +969,6 @@ decodeGpuUtilCsv(io::ByteSpan data, TraceBundle &bundle,
         });
 }
 
-IngestReport
-readCpuUsageCsvFile(const std::string &path, TraceBundle &bundle,
-                    const ParseOptions &options)
-{
-    io::MappedFile file =
-        io::MappedFile::openOrThrow(path, "readCpuUsageCsv");
-    ParseOptions named = options;
-    if (named.source.empty())
-        named.source = path;
-    return decodeCpuUsageCsv(file.span(), bundle, named);
-}
-
-IngestReport
-readGpuUtilCsvFile(const std::string &path, TraceBundle &bundle,
-                   const ParseOptions &options)
-{
-    io::MappedFile file =
-        io::MappedFile::openOrThrow(path, "readGpuUtilCsv");
-    ParseOptions named = options;
-    if (named.source.empty())
-        named.source = path;
-    return decodeGpuUtilCsv(file.span(), bundle, named);
-}
-
 void
 readCpuUsageCsv(std::istream &in, TraceBundle &bundle)
 {

@@ -18,7 +18,8 @@
  * TraceParseError.
  *
  * Two reader families (DESIGN.md section 11):
- *  - decode*Csv(ByteSpan)/read*CsvFile(path): the production path.
+ *  - decode*Csv(ByteSpan): the production path, reached by file
+ *    path through trace::decodeFile (open.hh), which maps the file.
  *    Zero-copy — fields are std::string_view slices of the mapped
  *    buffer — and chunk-parallel: the body splits at newline
  *    boundaries into ParseOptions::threads chunks decoded on worker
@@ -75,19 +76,6 @@ IngestReport decodeCpuUsageCsv(io::ByteSpan data, TraceBundle &bundle,
                                const ParseOptions &options);
 IngestReport decodeGpuUtilCsv(io::ByteSpan data, TraceBundle &bundle,
                               const ParseOptions &options);
-
-/**
- * Map @p path (io::MappedFile) and decode it with the span readers.
- * Throws FatalError only for I/O failure (cannot open/read); content
- * defects go through the report. An empty ParseOptions::source is
- * replaced by @p path in diagnostics.
- */
-IngestReport readCpuUsageCsvFile(const std::string &path,
-                                 TraceBundle &bundle,
-                                 const ParseOptions &options);
-IngestReport readGpuUtilCsvFile(const std::string &path,
-                                TraceBundle &bundle,
-                                const ParseOptions &options);
 
 /**
  * Legacy strict readers: throw TraceParseError (a FatalError) on the

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -216,7 +217,7 @@ TEST(CliExitCodes, UsageErrorsExitTwo)
     EXPECT_EQ(deskparExit("bottlenecks"), 2);     // missing trace
     EXPECT_EQ(deskparExit("bottlenecks --top ten t.etl"), 2);
     EXPECT_EQ(deskparExit("replay --bogus-flag t.etl"), 2);
-    EXPECT_EQ(deskparExit("sweep --count abc --out /tmp/x"), 2);
+    EXPECT_EQ(deskparExit("corpus --count abc --out /tmp/x"), 2);
     EXPECT_EQ(deskparExit("serve"), 2);           // missing socket
     EXPECT_EQ(deskparExit("client"), 2);          // missing op
 }
@@ -235,8 +236,11 @@ TEST(CliExitCodes, RuntimeFailuresExitOne)
 int
 deskparRun(const std::string &args, std::string &output)
 {
+    // Per-process name: ctest runs each test in its own process, in
+    // parallel.
     const std::string log =
-        (std::filesystem::temp_directory_path() / "deskpar_cli_out.txt")
+        (std::filesystem::temp_directory_path() /
+         ("deskpar_cli_out." + std::to_string(::getpid()) + ".txt"))
             .string();
     std::string command = std::string(DESKPAR_CLI_PATH) + " " + args +
                           " >" + log + " 2>&1";
@@ -328,6 +332,186 @@ TEST(CliRejectedHeader, LenientCommandsFailWithTheHeaderDefect)
     }
     std::filesystem::remove(good);
     std::filesystem::remove(bad);
+}
+
+
+/** @p bytes written to @p path. */
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream raw;
+    raw << in.rdbuf();
+    return raw.str();
+}
+
+/**
+ * The whitespace-split cells of @p file's replay table row (Trace,
+ * Size, Ingest, TLP, GPU util, Max conc., Status), or none.
+ */
+std::vector<std::string>
+tableRow(const std::string &output, const std::string &file)
+{
+    std::istringstream lines(output);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind(file + " ", 0) != 0)
+            continue;
+        std::istringstream words(line);
+        std::vector<std::string> cells;
+        for (std::string cell; words >> cell;)
+            cells.push_back(cell);
+        return cells;
+    }
+    return {};
+}
+
+/** Status cell of @p file's replay table row ("" if none). */
+std::string
+rowStatus(const std::string &output, const std::string &file)
+{
+    std::vector<std::string> cells = tableRow(output, file);
+    return cells.size() == 7 ? cells[6] : "";
+}
+
+/**
+ * Replay answers every file through one path, so the table, --json
+ * and stats agree on each file's status and on the exit code.
+ */
+class CliReplay : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        // Per-test names: ctest runs the tests in parallel.
+        const std::string stem =
+            (std::filesystem::temp_directory_path() /
+             ("deskpar_replay_" +
+              std::string(::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name()) +
+              "_"))
+                .string();
+        good_ = stem + "good.etl";
+        cut_ = stem + "cut.etl";
+        junk_ = stem + "junk.etl";
+        statsJson_ = stem + "stats.json";
+        std::string output;
+        ASSERT_EQ(deskparRun("run handbrake --seconds 2 --etl " + good_,
+                             output),
+                  0)
+            << output;
+        // The same trace with its tail cut off: a strict ingest
+        // rejects it, a lenient one salvages the head.
+        const std::string bytes = readFile(good_);
+        writeFile(cut_, bytes.substr(0, bytes.size() / 2));
+        // No .etl magic at all: rejected in both modes.
+        writeFile(junk_, "this is not a trace\n");
+    }
+
+    void
+    TearDown() override
+    {
+        for (const std::string &path : {good_, cut_, junk_, statsJson_})
+            std::filesystem::remove(path);
+    }
+
+    std::string good_, cut_, junk_, statsJson_;
+};
+
+TEST_F(CliReplay, DegradedLenientReplayExitsOneInEveryRendering)
+{
+    std::string output;
+    EXPECT_EQ(deskparRun("replay --lenient-traces " + cut_, output), 1);
+    EXPECT_EQ(rowStatus(output, cut_), "degraded") << output;
+    EXPECT_NE(output.find("degraded ingest"), std::string::npos)
+        << output;
+
+    EXPECT_EQ(deskparRun("replay --lenient-traces --json " + cut_,
+                         output),
+              1);
+    EXPECT_NE(output.find("\"degraded\":true"), std::string::npos)
+        << output;
+
+    // stats is replay with recording on: same verdict, and its one
+    // Job span per file keeps the deskpar.job phase row.
+    EXPECT_EQ(deskparRun("stats --lenient-traces " + cut_ +
+                             " --stats-json " + statsJson_,
+                         output),
+              1);
+    EXPECT_EQ(rowStatus(output, cut_), "degraded") << output;
+    EXPECT_NE(output.find("deskpar.job"), std::string::npos) << output;
+}
+
+TEST_F(CliReplay, CorruptFileFailsOnlyThatFile)
+{
+    // Strict: the cut file fails with its structured parse error
+    // (source and section), the good file still gets its row.
+    std::string output;
+    EXPECT_EQ(deskparRun("replay " + good_ + " " + cut_, output), 1);
+    std::vector<std::string> goodRow = tableRow(output, good_);
+    ASSERT_EQ(goodRow.size(), 7u) << output;
+    EXPECT_EQ(goodRow[6], "ok") << output;
+    EXPECT_GT(std::stod(goodRow[3]), 0.0) << output; // TLP
+    EXPECT_EQ(rowStatus(output, cut_), "FAILED") << output;
+    EXPECT_NE(output.find("deskpar: " + cut_ + " @byte "),
+              std::string::npos)
+        << output;
+
+    // The good file alone is clean: exit 0 in both renderings.
+    EXPECT_EQ(deskparRun("replay " + good_, output), 0) << output;
+    EXPECT_EQ(deskparRun("replay --json " + good_, output), 0)
+        << output;
+}
+
+TEST_F(CliReplay, MissingFileFailsOnlyThatFileWithOneMessage)
+{
+    const std::string missing = "/nonexistent/deskpar_trace.etl";
+    std::string table;
+    EXPECT_EQ(deskparRun("replay " + good_ + " " + missing, table), 1);
+    EXPECT_EQ(rowStatus(table, good_), "ok") << table;
+    EXPECT_EQ(rowStatus(table, missing), "FAILED") << table;
+
+    std::string json;
+    EXPECT_EQ(deskparRun("replay --json " + good_ + " " + missing, json),
+              1);
+    std::size_t first = json.find("\"status\":\"ok\"");
+    std::size_t second = json.find("\"status\":\"failed\"");
+    ASSERT_NE(first, std::string::npos) << json;
+    ASSERT_NE(second, std::string::npos) << json;
+    EXPECT_LT(first, second) << json;
+
+    // Both renderings report the missing file with the same message.
+    std::istringstream lines(table);
+    std::string line, message;
+    while (std::getline(lines, line)) {
+        if (line.rfind("deskpar: ", 0) == 0 &&
+            line.find(missing) != std::string::npos)
+            message = line;
+    }
+    ASSERT_FALSE(message.empty()) << table;
+    EXPECT_NE(json.find(message), std::string::npos)
+        << message << "\n"
+        << json;
+}
+
+TEST_F(CliReplay, LenientBatchNamesNoStrictIngest)
+{
+    std::string output;
+    EXPECT_EQ(deskparRun("replay --lenient-traces " + good_ + " " + junk_,
+                         output),
+              1);
+    EXPECT_EQ(rowStatus(output, good_), "ok") << output;
+    EXPECT_EQ(rowStatus(output, junk_), "FAILED") << output;
+    EXPECT_EQ(output.find("strict ingest"), std::string::npos) << output;
 }
 
 } // namespace

@@ -11,7 +11,7 @@
  *   deskpar sweep <id> --cores 4,8,12 [options]
  *       Core-scaling sweep (the Figure 4 methodology).
  *
- *   deskpar sweep --count N --seed S --out DIR [--resume]
+ *   deskpar corpus --count N --seed S --out DIR [--resume]
  *           [--seconds X] [--shard-size K] [--jobs N]
  *       Seeded corpus sweep (apps/sweep.hh): N scenarios sampled
  *       from app x cores x SMT x scheduler-policy space, executed
@@ -37,12 +37,14 @@
  *           [--json]
  *       Re-analyze saved traces (.etl, block-compressed .etlc, or a
  *       CPU Usage .csv — formats are sniffed, not guessed from the
- *       name). A corrupt file fails that file only — its structured
+ *       name). Every file is one Service analyze call, the op serve
+ *       answers. A corrupt file fails that file only — its structured
  *       parse error is reported and every other file still completes.
  *       --lenient-traces skips malformed records instead and
- *       analyzes what remains (the report notes what was dropped).
- *       --json emits one analyze document per file (JSONL), the same
- *       schema the serve analyze op returns.
+ *       analyzes what remains; such a file's Status reads
+ *       "degraded" and the run exits 1. --json emits one analyze
+ *       document per file (JSONL), the same schema the serve analyze
+ *       op returns.
  *
  *   deskpar pack <trace> [-o OUT] [--verify] [--index] [--jobs N]
  *           [--lenient-traces]
@@ -154,6 +156,8 @@
 #include "serve/json_value.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "trace/csv.hh"
 #include "trace/diagnostic.hh"
 #include "trace/etl.hh"
@@ -197,8 +201,8 @@ constexpr CommandHelp kCommands[] = {
      "run one workload and print its metrics"},
     {"sweep", "sweep <id> --cores 4,8,12 [options]",
      "core-scaling sweep (the Figure 4 methodology)"},
-    {"sweep (corpus)",
-     "sweep --count N --seed S --out DIR [--resume] "
+    {"corpus",
+     "corpus --count N --seed S --out DIR [--resume] "
      "[--seconds X] [--shard-size K] [--jobs N]",
      "seeded corpus sweep: N sampled scenarios, sharded + "
      "resumable, one JSON metric row each"},
@@ -458,13 +462,13 @@ cmdSweep(const std::string &id, CliOptions cli)
 }
 
 int
-cmdCorpusSweep(int argc, char **argv, int first)
+cmdCorpus(int argc, char **argv, int first)
 {
     apps::SweepOptions options;
     unsigned count = 0;
     unsigned shardSize = 0;
     bool haveShardSize = false;
-    cli::Parser parser("sweep");
+    cli::Parser parser("corpus");
     parser.option("--count", "N", &count);
     parser.option("--seed", "S", &options.seed);
     parser.option("--out", "DIR", &options.outDir);
@@ -491,13 +495,12 @@ cmdCorpusSweep(int argc, char **argv, int first)
         options.shardSize = shardSize;
     if (options.count == 0 || options.outDir.empty()) {
         std::fprintf(stderr,
-                     "deskpar sweep: a corpus sweep needs --count "
-                     "and --out\n");
+                     "deskpar corpus: needs --count and --out\n");
         return 2;
     }
 
     apps::SweepReport report = apps::runSweep(options);
-    std::printf("sweep: %u scenarios, %u shards (%u reused, %u run "
+    std::printf("corpus: %u scenarios, %u shards (%u reused, %u run "
                 "this pass)\n",
                 report.scenariosTotal, report.shardsTotal,
                 report.shardsReused, report.scenariosRun);
@@ -669,110 +672,111 @@ parseReplayOptions(const char *command, int argc, char **argv,
     return parser.parse(argc, argv, first);
 }
 
-/** Run the replay batch: one recoverable job per file. */
-apps::SuiteOutcome
-runReplayBatch(const ReplayOptions &opts)
+/** One replay file's answer: its analysis, or what failed it. */
+struct ReplayAnswer
 {
-    apps::RunOptions options;
-    options.iterations = 1;
-    trace::ParseMode mode = opts.lenient ? trace::ParseMode::Lenient
-                                         : trace::ParseMode::Strict;
-    std::vector<apps::SuiteJob> jobs;
-    for (const std::string &file : opts.files)
-        jobs.push_back(
-            apps::replayJob(file, options, opts.appPrefix, mode));
+    analysis::ServiceAnalyzeResult result;
+    bool failed = false;
+    std::string error;
+};
 
-    // Collect pipeline diagnostics (lenient-ingest degradation,
-    // out-of-range-CPU analysis warnings) instead of letting worker
-    // threads interleave them on stderr mid-table; replay them once
-    // the batch is done.
+/**
+ * Analyze every replay file through one shared Service (the same
+ * analyze op `serve` answers), fanned out across DESKPAR_JOBS
+ * threads. Answers come back in argument order. An exception fails
+ * its file only; a PanicError is a bug and aborts the batch.
+ */
+std::vector<ReplayAnswer>
+analyzeReplayFiles(const ReplayOptions &opts)
+{
+    analysis::Service service;
+    std::vector<ReplayAnswer> answers(opts.files.size());
+
+    // Collect pipeline diagnostics (out-of-range-CPU analysis
+    // warnings) instead of letting worker threads interleave them on
+    // stderr mid-output; replay them once the batch is done.
     trace::CollectingDiagnosticSink sink;
-    apps::SuiteOutcome outcome;
     {
         trace::ScopedDiagnosticSink scope(sink);
-        outcome = apps::SuiteRunner().runRecoverable(jobs);
+        sim::parallelFor(
+            sim::resolveJobs(), opts.files.size(),
+            [&](std::size_t i) {
+                obs::Span span("replay.file", obs::SpanKind::Job, i);
+                analysis::ServiceTraceRequest request;
+                request.path = opts.files[i];
+                request.appPrefix = opts.appPrefix;
+                request.lenient = opts.lenient;
+                try {
+                    answers[i].result = service.analyze(request);
+                } catch (const PanicError &) {
+                    throw;
+                } catch (const std::exception &err) {
+                    answers[i].failed = true;
+                    answers[i].error = err.what();
+                }
+            });
     }
     for (const trace::Diagnostic &d : sink.diagnostics())
         std::fprintf(stderr, "deskpar: %s\n", d.str().c_str());
-    return outcome;
+    return answers;
 }
 
-/** Print the per-file replay table + failures; 0 when all files ok. */
+/**
+ * Render the answers as the per-file table or, with --json, as one
+ * analyze document per file (JSONL, byte-identical to the serve
+ * analyze op). Exit status 1 when any file failed or was degraded,
+ * in both renderings.
+ */
 int
-reportReplayOutcome(const ReplayOptions &opts,
-                    const apps::SuiteOutcome &outcome)
+reportReplay(const ReplayOptions &opts,
+             const std::vector<ReplayAnswer> &answers)
 {
     report::TextTable table({"Trace", "Size (MB)", "Ingest (MB/s)",
                              "TLP", "GPU util (%)", "Max conc.",
                              "Status"});
-    for (std::size_t j = 0; j < opts.files.size(); ++j) {
-        if (outcome.failed(j)) {
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+        const ReplayAnswer &answer = answers[i];
+        const analysis::ServiceAnalyzeResult &r = answer.result;
+        if (opts.json) {
+            if (answer.failed)
+                report::writeAnalyzeFailureDocument(
+                    std::cout, opts.files[i], answer.error);
+            else
+                report::writeAnalyzeDocument(std::cout, r);
+            std::cout << '\n';
+        } else if (answer.failed) {
             table.row()
-                .cell(opts.files[j])
+                .cell(opts.files[i])
                 .cell("-")
                 .cell("-")
                 .cell("-")
                 .cell("-")
                 .cell("-")
                 .cell("FAILED");
-            continue;
+        } else {
+            table.row()
+                .cell(opts.files[i])
+                .cell(static_cast<double>(r.ingest.bytes) / 1e6, 2)
+                .cell(r.ingest.mbPerSec(), 1)
+                .cell(r.metrics.tlp(), 2)
+                .cell(r.metrics.gpuUtilPercent(), 1)
+                .cell(std::uint64_t(
+                    r.metrics.concurrency.maxConcurrency()))
+                .cell(r.degraded ? "degraded" : "ok");
         }
-        const apps::AppRunResult &result = outcome.results[j];
-        table.row()
-            .cell(opts.files[j])
-            .cell(static_cast<double>(result.ingest.bytes) / 1e6, 2)
-            .cell(result.ingest.mbPerSec(), 1)
-            .cell(result.tlp(), 2)
-            .cell(result.gpuUtil(), 1)
-            .cell(result.agg.maxConcurrency.mean(), 0)
-            .cell("ok");
     }
-    table.print(std::cout);
-    for (const apps::JobFailure &f : outcome.failures)
-        std::fprintf(stderr, "deskpar: %s\n",
-                     f.diagnostic().str().c_str());
-    if (!outcome.ok()) {
-        std::fprintf(stderr, "deskpar: replay batch degraded: %s\n",
-                     outcome.ingest.summary().c_str());
-        return 1;
-    }
-    return 0;
-}
+    if (!opts.json)
+        table.print(std::cout);
 
-/**
- * `replay --json`: one analyze document per file (JSONL) through the
- * same Service + document writer the serve analyze op uses, so the
- * two outputs are byte-identical. A failed file emits a failure
- * document and the batch continues, matching the table path's
- * fail-one-file-only contract.
- */
-int
-jsonReplay(const ReplayOptions &opts)
-{
-    analysis::Service service;
     int status = 0;
-    for (const std::string &file : opts.files) {
-        analysis::ServiceTraceRequest request;
-        request.path = file;
-        request.appPrefix = opts.appPrefix;
-        request.lenient = opts.lenient;
-        request.jobs = 0; // auto, like the batch replay path
-        try {
-            analysis::ServiceAnalyzeResult result =
-                service.analyze(request);
-            report::writeAnalyzeDocument(std::cout, result);
-            std::cout << '\n';
-            if (result.degraded) {
-                std::fprintf(stderr,
-                             "deskpar: degraded ingest: %s\n",
-                             result.degradedSummary.c_str());
-                status = 1;
-            }
-        } catch (const std::exception &err) {
-            report::writeAnalyzeFailureDocument(std::cout, file,
-                                                err.what());
-            std::cout << '\n';
-            std::fprintf(stderr, "deskpar: %s\n", err.what());
+    for (const ReplayAnswer &answer : answers) {
+        if (answer.failed) {
+            std::fprintf(stderr, "deskpar: %s\n",
+                         answer.error.c_str());
+            status = 1;
+        } else if (answer.result.degraded) {
+            std::fprintf(stderr, "deskpar: degraded ingest: %s\n",
+                         answer.result.degradedSummary.c_str());
             status = 1;
         }
     }
@@ -786,9 +790,7 @@ cmdReplay(int argc, char **argv, int first)
     if (!parseReplayOptions("replay", argc, argv, first,
                             /*statsFlags=*/false, opts))
         return 2;
-    if (opts.json)
-        return jsonReplay(opts);
-    return reportReplayOutcome(opts, runReplayBatch(opts));
+    return reportReplay(opts, analyzeReplayFiles(opts));
 }
 
 int
@@ -803,11 +805,11 @@ cmdStats(int argc, char **argv, int first)
     // when DESKPAR_OBS=1 already traced process startup.
     obs::setEnabled(true);
     obs::reset();
-    apps::SuiteOutcome outcome = runReplayBatch(opts);
+    std::vector<ReplayAnswer> answers = analyzeReplayFiles(opts);
     obs::Snapshot snapshot = obs::collect();
     obs::setEnabled(false);
 
-    int status = reportReplayOutcome(opts, outcome);
+    int status = reportReplay(opts, answers);
 
     if (snapshot.empty()) {
         std::fprintf(stderr,
@@ -1418,16 +1420,13 @@ main(int argc, char **argv)
             return cmdServe(argc, argv, 2);
         if (command == "client")
             return cmdClient(argc, argv, 2);
+        if (command == "corpus")
+            return cmdCorpus(argc, argv, 2);
         if (command == "run" || command == "sweep" ||
             command == "threads") {
             if (argc < 3)
                 usage();
             std::string id = argv[2];
-            // `sweep --count ...` (no workload id) is the seeded
-            // corpus sweep; `sweep <id> ...` stays the Figure 4
-            // core-scaling sweep.
-            if (command == "sweep" && id.rfind("--", 0) == 0)
-                return cmdCorpusSweep(argc, argv, 2);
             CliOptions cli;
             if (!parseRunOptions(command.c_str(), argc, argv, 3,
                                  cli))
